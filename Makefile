@@ -3,7 +3,8 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test docs-check bench-kernel bench-kernel-quick bench-dynamic \
 	bench-storage bench-storage-quick bench-tiered bench-tiered-quick \
-	bench-serving bench-serving-quick bench-search bench-search-quick bench
+	bench-serving bench-serving-quick bench-search bench-search-quick \
+	bench-paper bench-paper-quick bench
 
 # Tier-1 verification: the full test suite (includes the quick-mode
 # benchmark harnesses and the docs-check gate).
@@ -70,5 +71,15 @@ bench-search:
 bench-search-quick:
 	$(PYTHON) benchmarks/bench_search.py --quick
 
+bench-paper:
+	$(PYTHON) benchmarks/bench_paper.py
+
+# Small-size smoke run of the paper reproduction harness (no JSON written);
+# its deterministic gates (Table 1 space, Section 5 range answers vs the
+# naive scan, Section 6 heights, Remark 4.2 Init sizes) also run inside
+# tier-1 via tests/integration/test_bench_paper_quick.py.
+bench-paper-quick:
+	$(PYTHON) benchmarks/bench_paper.py --quick
+
 bench: bench-kernel bench-dynamic bench-storage bench-tiered bench-serving \
-	bench-search
+	bench-search bench-paper

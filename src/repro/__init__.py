@@ -5,9 +5,9 @@ The package provides a complete, pure-Python implementation of the paper's
 primary contribution -- the Wavelet Trie in its static, append-only and fully
 dynamic variants -- together with every substrate the construction relies on:
 succinct bitvectors (plain, RRR, RLE, Elias-Fano, append-only, dynamic),
-succinct tree encodings (DFUDS, LOUDS), Patricia tries (pointer based and
-succinct), classic Wavelet Trees, the Section 6 probabilistically balanced
-dynamic Wavelet Tree, the related-work baselines, entropy/space analysis
+succinct tree encodings (DFUDS, balanced parentheses), Patricia tries,
+classic Wavelet Trees, the Section 6 probabilistically balanced dynamic
+Wavelet Tree, the naive list-scan oracle, entropy/space analysis
 helpers, synthetic workload generators and a small column-store layer.
 
 The most convenient entry points are re-exported here:

@@ -1,9 +1,10 @@
 """Markdown/report helpers that compare measured space against the paper's bounds.
 
-These are the functions behind ``EXPERIMENTS.md`` and the CLI ``info``
-command: they evaluate the Table 1 space quantities (``LT``, ``nH0``, ``LB``,
-``PT``, ``h̃ n``) for a workload, measure the three Wavelet Trie variants built
-on it, and render the comparison as aligned text or Markdown tables.
+``benchmarks/bench_paper.py`` takes its Table 1 space rows from
+:func:`space_vs_bounds`: it evaluates the Table 1 space quantities (``LT``,
+``nH0``, ``LB``, ``PT``, ``h̃ n``) for a workload and measures the three
+Wavelet Trie variants built on it.  The table helpers render the same
+comparison as aligned text or Markdown tables.
 """
 
 from __future__ import annotations

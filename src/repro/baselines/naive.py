@@ -2,7 +2,7 @@
 
 Every operation is implemented by scanning an explicit Python list.  The class
 is deliberately simple -- it is the *oracle* the property-based tests compare
-the Wavelet Trie (and the other baselines) against, and the uncompressed
+the Wavelet Trie against, and the uncompressed
 yardstick in the space benchmarks.
 """
 

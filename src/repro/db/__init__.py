@@ -14,9 +14,6 @@ cases:
   EXPLAIN) over a :class:`ColumnStore`;
 * :class:`~repro.db.log_store.AccessLogStore` -- an append-only access log
   with time-window analytics (top domains, counts per prefix, majority);
-* :class:`~repro.db.graph_store.TemporalGraphStore` -- an evolving binary
-  relation (the paper's social-network example) with on-the-fly adjacency
-  snapshots and per-window deltas;
 * :mod:`repro.db.partition` -- position-range partitioning of columns for
   the multi-process serving cluster (balanced ranges, shard slicing);
 * :class:`~repro.db.doc_store.DocumentStore` -- FM-index-backed full-text
@@ -25,7 +22,6 @@ cases:
 
 from repro.db.column import ColumnSnapshot, CompressedColumn
 from repro.db.doc_store import DocumentStore
-from repro.db.graph_store import TemporalGraphStore
 from repro.db.log_store import AccessLogStore
 from repro.db.partition import as_column_dict, partition_ranges, slice_column
 from repro.db.query import Predicate, Query
@@ -39,7 +35,6 @@ __all__ = [
     "DocumentStore",
     "Predicate",
     "Query",
-    "TemporalGraphStore",
     "as_column_dict",
     "partition_ranges",
     "slice_column",

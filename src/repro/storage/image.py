@@ -228,16 +228,34 @@ class FrozenImage:
         data_start = _align(_HEADER_FIXED + header_length)
         self._sections: Dict[str, Tuple[int, int, int]] = {}
         for entry in entries:
-            name, relative, length, crc = entry
-            offset = data_start + int(relative)
+            try:
+                name, relative, length, crc = entry
+            except (TypeError, ValueError):
+                raise SerializationError(
+                    f"{source}: malformed section entry {entry!r}"
+                ) from None
+            if not (
+                isinstance(name, str)
+                and type(relative) is int
+                and type(length) is int
+                and type(crc) is int
+            ):
+                raise SerializationError(
+                    f"{source}: malformed section entry {entry!r}"
+                )
+            if relative < 0 or length < 0:
+                raise SerializationError(
+                    f"{source}: section {name!r} has a negative offset or length"
+                )
+            offset = data_start + relative
             # Always-on (cheap) truncation check: the section table must fit
             # inside the file even when per-section CRCs are not verified.
-            if offset + int(length) > total:
+            if offset + length > total:
                 raise SerializationError(
                     f"{source}: section {name!r} is truncated "
-                    f"(needs bytes up to {offset + int(length)}, file has {total})"
+                    f"(needs bytes up to {offset + length}, file has {total})"
                 )
-            self._sections[name] = (offset, int(length), int(crc))
+            self._sections[name] = (offset, length, crc)
         if verify:
             self.verify_checksums()
 

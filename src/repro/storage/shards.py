@@ -30,6 +30,7 @@ from typing import Any, Dict, List, Optional, Union
 from repro.db.column import CompressedColumn
 from repro.db.partition import as_column_dict, partition_ranges, slice_column
 from repro.core.tiers import TieredWaveletTrie
+from repro.exceptions import SerializationError
 from repro.storage.image import open_image, save_image
 
 __all__ = ["MANIFEST_NAME", "export_shard_images", "load_manifest", "open_worker_columns"]
@@ -37,6 +38,7 @@ __all__ = ["MANIFEST_NAME", "export_shard_images", "load_manifest", "open_worker
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "rwt2-cluster"
 MANIFEST_VERSION = 1
+_MANIFEST_FIELDS = ("workers", "columns", "images")
 
 
 def export_shard_images(
@@ -108,13 +110,20 @@ def load_manifest(directory: Union[str, os.PathLike]) -> Dict[str, Any]:
     path = os.path.join(os.fspath(directory), MANIFEST_NAME)
     with open(path, "r", encoding="utf-8") as source:
         manifest = json.load(source)
-    if manifest.get("format") != MANIFEST_FORMAT:
-        raise ValueError(f"{path}: not a {MANIFEST_FORMAT} manifest")
+    if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
+        raise SerializationError(f"{path}: not a {MANIFEST_FORMAT} manifest")
     if manifest.get("version") != MANIFEST_VERSION:
-        raise ValueError(
+        raise SerializationError(
             f"{path}: unsupported manifest version {manifest.get('version')!r}"
         )
+    _check_manifest_fields(manifest, path)
     return manifest
+
+
+def _check_manifest_fields(manifest: Dict[str, Any], source: str) -> None:
+    missing = [field for field in _MANIFEST_FIELDS if field not in manifest]
+    if missing:
+        raise SerializationError(f"{source}: manifest is missing {missing}")
 
 
 def open_worker_columns(
@@ -131,6 +140,7 @@ def open_worker_columns(
     wrapped read-only, so a misrouted write fails loudly as
     ``invalid_operation`` instead of corrupting the partition.
     """
+    _check_manifest_fields(manifest, os.fspath(directory))
     if not 0 <= worker < manifest["workers"]:
         raise ValueError(
             f"worker {worker} out of range for {manifest['workers']} workers"

@@ -2,22 +2,16 @@
 
 These are the substrates used by the static Wavelet Trie representation
 (paper Section 3): a DFUDS encoding of the Patricia trie topology, balanced
-parentheses support, LOUDS as an alternative encoding for the ablation study,
-and static/dynamic partial-sum structures used to delimit concatenated labels
-and bitvector encodings.
+parentheses support, and static partial sums used to delimit concatenated
+labels and bitvector encodings.
 """
 
 from repro.succinct.bp import BalancedParentheses
 from repro.succinct.dfuds import DFUDSTree
-from repro.succinct.fenwick import FenwickTree
-from repro.succinct.louds import LOUDSTree
-from repro.succinct.partial_sums import PartialSums, StaticPartialSums
+from repro.succinct.partial_sums import StaticPartialSums
 
 __all__ = [
     "BalancedParentheses",
     "DFUDSTree",
-    "FenwickTree",
-    "LOUDSTree",
-    "PartialSums",
     "StaticPartialSums",
 ]

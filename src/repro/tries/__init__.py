@@ -7,9 +7,10 @@ distinct strings.  This package provides:
   (``str``, ``bytes``, ``int``) to the prefix-free binary strings
   (:class:`~repro.bits.bitstring.Bits`) the data structure operates on;
 * :class:`~repro.tries.patricia.PatriciaTrie` -- the dynamic, pointer-based
-  Patricia trie of the paper's Appendix B;
-* :class:`~repro.tries.static_patricia.SuccinctPatriciaTrie` -- the static
-  DFUDS-encoded trie with concatenated labels of Theorem 3.6.
+  Patricia trie of the paper's Appendix B.
+
+The static DFUDS-encoded trie with concatenated labels (Theorem 3.6) lives
+inside :class:`~repro.core.succinct_static.SuccinctWaveletTrie`.
 """
 
 from repro.tries.binarize import (
@@ -20,14 +21,12 @@ from repro.tries.binarize import (
     default_codec,
 )
 from repro.tries.patricia import PatriciaTrie
-from repro.tries.static_patricia import SuccinctPatriciaTrie
 
 __all__ = [
     "BytesCodec",
     "FixedWidthIntCodec",
     "PatriciaTrie",
     "StringCodec",
-    "SuccinctPatriciaTrie",
     "Utf8Codec",
     "default_codec",
 ]

@@ -5,22 +5,17 @@
   2-dimensional range counting;
 * :class:`~repro.wavelet.huffman.HuffmanWaveletTree` -- the Huffman-shaped
   variant (mentioned after Lemma 3.2);
-* :class:`~repro.wavelet.dynamic_wavelet_tree.FixedAlphabetDynamicWaveletTree`
-  -- the related-work dynamic Wavelet Tree whose alphabet must be known in
-  advance (the restriction the Wavelet Trie removes);
 * :class:`~repro.wavelet.balanced.BalancedDynamicWaveletTree` -- the
   probabilistically balanced dynamic Wavelet Tree of Section 6
   (Theorem 6.2), built on multiplicative hashing plus a Wavelet Trie.
 """
 
 from repro.wavelet.balanced import BalancedDynamicWaveletTree
-from repro.wavelet.dynamic_wavelet_tree import FixedAlphabetDynamicWaveletTree
 from repro.wavelet.huffman import HuffmanWaveletTree, huffman_codes
 from repro.wavelet.wavelet_tree import WaveletTree
 
 __all__ = [
     "BalancedDynamicWaveletTree",
-    "FixedAlphabetDynamicWaveletTree",
     "HuffmanWaveletTree",
     "WaveletTree",
     "huffman_codes",

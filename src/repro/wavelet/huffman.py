@@ -3,7 +3,7 @@
 The paper notes (after Lemma 3.2) that the popular Huffman-shaped Wavelet Tree
 is a special case of the Wavelet Trie obtained by mapping each symbol to its
 Huffman code.  This module provides the canonical-code construction and a
-static Huffman-shaped tree used by the text-collection baseline: frequent
+static Huffman-shaped tree, which stores the FM-index's BWT: frequent
 symbols sit near the root, so the expected query depth is ``H0 + 1`` instead
 of ``log sigma``.
 """

@@ -7,7 +7,7 @@ falls in the left or right half, and rank/select/access reduce to ``O(log
 sigma)`` bitvector operations.
 
 Beyond the three primitives the tree supports the classic two-dimensional
-operations used by the alphabet-mapping baseline: ``range_count`` (how many
+operations: ``range_count`` (how many
 positions in ``[l, r)`` hold a symbol in ``[lo, hi)``) and ``quantile``
 (the k-th smallest symbol in a position range).
 """

@@ -128,9 +128,8 @@ def test_delete_positions_from_runs_agrees(length):
             # The oracle of the oracle: reconstruct from the flat bit list.
             bits = [(value >> (n - 1 - i)) & 1 for i in range(n)]
             assert py_deleted == [bits[p] for p in positions]
-            survivors = [
-                bit for i, bit in enumerate(bits) if i not in set(positions)
-            ]
+            deleted = set(positions)
+            survivors = [bit for i, bit in enumerate(bits) if i not in deleted]
             flattened = [
                 bit for bit, run_len in py_kept for _ in range(run_len)
             ]

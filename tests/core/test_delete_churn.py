@@ -29,7 +29,6 @@ from repro.core.dynamic import DynamicWaveletTrie
 from repro.core.static import WaveletTrie
 from repro.core.tiers import TieredWaveletTrie
 from repro.exceptions import OutOfBoundsError
-from repro.wavelet.dynamic_wavelet_tree import FixedAlphabetDynamicWaveletTree
 
 BACKENDS = kernel.available_backends()
 
@@ -405,34 +404,3 @@ class TestDynamicBitVectorDeleteChurn:
             assert vector.delete_range(3, 3) == []
             with pytest.raises(OutOfBoundsError):
                 vector.delete_range(2, 100)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-class TestFixedAlphabetDeleteChurn:
-    @given(
-        values=st.lists(st.integers(0, 6), min_size=1, max_size=120),
-        seed=st.integers(0, 2**16),
-    )
-    @settings(
-        max_examples=25,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    def test_delete_many_matches_oracle(self, backend, values, seed):
-        rng = random.Random(seed)
-        with active_backend(backend):
-            tree = FixedAlphabetDynamicWaveletTree(range(7), values)
-            reference = list(values)
-            count = min(len(reference), 1 + rng.randrange(30))
-            positions = rng.sample(range(len(reference)), count)
-            expected = [reference[p] for p in positions]
-            assert tree.delete_many(positions) == expected
-            for position in sorted(positions, reverse=True):
-                reference.pop(position)
-            assert tree.to_list() == reference
-            if reference:
-                symbol = rng.choice(reference)
-                positions = [rng.randint(0, len(reference)) for _ in range(5)]
-                assert tree.rank(symbol, positions[0]) == sum(
-                    1 for v in reference[: positions[0]] if v == symbol
-                )

@@ -12,9 +12,9 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.db import AccessLogStore, ColumnStore, Query, TemporalGraphStore
+from repro.db import AccessLogStore, ColumnStore, Query
 from repro.storage import dumps, load, loads, save
-from repro.workloads import EdgeStreamGenerator, UrlLogGenerator
+from repro.workloads import UrlLogGenerator
 
 
 class TestLogPipeline:
@@ -94,24 +94,3 @@ class TestColumnStorePipeline:
         grouped = dict(Query(restored).in_rows(0, 100).group_by_count("method"))
         assert grouped["POST"] == len([i for i in range(100) if i % 5 == 0])
         assert grouped["GET"] == 100 - grouped["POST"]
-
-
-class TestGraphPipeline:
-    def test_snapshots_from_generated_stream(self):
-        generator = EdgeStreamGenerator(initial_vertices=5, seed=3)
-        graph = TemporalGraphStore()
-        oracle = {}
-        for tick in range(500):
-            src, dst = generator.generate_edge()
-            graph.add_edge(src, dst, timestamp=tick)
-            oracle.setdefault(src, set()).add(dst)
-
-        # Full-history snapshot equals the oracle adjacency sets.
-        for vertex in list(oracle)[:8]:
-            assert set(graph.neighbors_at(vertex, 500)) == oracle[vertex]
-
-        # Per-window activity sums to the number of events.
-        total_activity = sum(
-            count for _, count in graph.active_vertices(0, 500)
-        )
-        assert total_activity == 500

@@ -10,8 +10,10 @@ numpy-absent fallback is covered by opening a numpy-written file under the
 pure-python backend -- the bytes on disk are backend-independent.
 """
 
+import json
 import mmap
 import random
+import zlib
 
 import pytest
 
@@ -36,6 +38,7 @@ from repro.storage import (
     save_image,
 )
 from repro.storage.image import PAGE, FrozenImage
+from repro.storage.shards import load_manifest, open_worker_columns
 from repro.tries.binarize import FixedWidthIntCodec
 
 
@@ -279,6 +282,35 @@ class TestImageValidation:
         with pytest.raises(SerializationError):
             open_image(path)
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            pytest.param(lambda entry: entry.__setitem__(1, -8), id="negative-offset"),
+            pytest.param(lambda entry: entry.__setitem__(2, -1), id="negative-length"),
+            pytest.param(lambda entry: entry.pop(), id="three-fields"),
+            pytest.param(lambda entry: entry.__setitem__(2, "64"), id="non-integer"),
+        ],
+    )
+    def test_malformed_section_entry_with_valid_crc(self, image_bytes, mutate):
+        # Re-sign the rewritten header so only the entry check can catch it;
+        # padding keeps the data start (and every section) where it was.
+        header_length = int.from_bytes(image_bytes[8:16], "little")
+        header = json.loads(image_bytes[20 : 20 + header_length])
+        mutate(header["sections"][0])
+        encoded = json.dumps(header, separators=(",", ":")).encode("utf-8")
+        data_start = -(-(20 + header_length) // PAGE) * PAGE
+        assert 20 + len(encoded) <= data_start
+        crafted = (
+            image_bytes[:8]
+            + len(encoded).to_bytes(8, "little")
+            + (zlib.crc32(encoded) & 0xFFFFFFFF).to_bytes(4, "little")
+            + encoded
+            + bytes(data_start - 20 - len(encoded))
+            + image_bytes[data_start:]
+        )
+        with pytest.raises(SerializationError, match="section"):
+            loads_image(crafted)
+
     def test_sections_are_page_aligned_and_read_only(self, image_bytes):
         image = FrozenImage(image_bytes)
         for name in image.section_names():
@@ -290,6 +322,29 @@ class TestImageValidation:
         # The format's alignment promise only holds if the OS page size
         # divides the section alignment.
         assert PAGE % mmap.PAGESIZE == 0 or mmap.PAGESIZE % PAGE == 0
+
+
+class TestManifestValidation:
+    @pytest.mark.parametrize("field", ["workers", "columns", "images"])
+    def test_load_manifest_missing_field(self, tmp_path, field):
+        manifest = {
+            "format": "rwt2-cluster",
+            "version": 1,
+            "workers": 1,
+            "columns": ["c"],
+            "images": {"c": ["c0-w0.rwt2"]},
+        }
+        del manifest[field]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SerializationError, match=field):
+            load_manifest(tmp_path)
+
+    @pytest.mark.parametrize("field", ["workers", "columns", "images"])
+    def test_open_worker_columns_missing_field(self, tmp_path, field):
+        manifest = {"workers": 1, "columns": ["c"], "images": {"c": ["c0-w0.rwt2"]}}
+        del manifest[field]
+        with pytest.raises(SerializationError, match=field):
+            open_worker_columns(tmp_path, manifest, 0)
 
 
 class TestFreeze:

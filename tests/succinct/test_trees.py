@@ -1,4 +1,4 @@
-"""Tests for balanced parentheses, DFUDS and LOUDS succinct trees.
+"""Tests for balanced parentheses and DFUDS succinct trees.
 
 All navigation operations are cross-checked against an explicit pointer-based
 tree generated pseudo-randomly.
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import OutOfBoundsError
-from repro.succinct import BalancedParentheses, DFUDSTree, LOUDSTree
+from repro.succinct import BalancedParentheses, DFUDSTree
 
 
 class Node:
@@ -46,18 +46,6 @@ def preorder(root: Node) -> List[Node]:
         out.append(node)
         for child in reversed(node.children):
             stack.append(child)
-    return out
-
-
-def level_order(root: Node) -> List[Node]:
-    from collections import deque
-
-    out = []
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        out.append(node)
-        queue.extend(node.children)
     return out
 
 
@@ -162,37 +150,3 @@ class TestDFUDS:
         tree = DFUDSTree.from_degrees([2] + [2, 0, 0] * 100 + [0, 0])
         # about 2 bits per node plus directories
         assert tree.size_in_bits() < 64 * tree.node_count
-
-
-class TestLOUDS:
-    @pytest.mark.parametrize("seed", [0, 1, 5, 9])
-    def test_navigation_matches_pointer_tree(self, seed):
-        root = random_tree(seed, max_nodes=35)
-        order = level_order(root)
-        index = {id(node): i for i, node in enumerate(order)}
-        tree = LOUDSTree.from_tree(root, lambda node: node.children)
-        assert tree.node_count == len(order)
-        for i, node in enumerate(order):
-            assert tree.degree(i) == len(node.children)
-            assert tree.is_leaf(i) == (not node.children)
-            for k, child in enumerate(node.children):
-                assert tree.child(i, k) == index[id(child)]
-            if node.parent is not None:
-                assert tree.parent(i) == index[id(node.parent)]
-                assert tree.child_rank(i) == node.parent.children.index(node)
-
-    def test_single_node(self):
-        tree = LOUDSTree.from_tree("root", lambda _: [])
-        assert tree.node_count == 1
-        assert tree.is_leaf(0)
-        with pytest.raises(OutOfBoundsError):
-            tree.parent(0)
-
-    def test_dfuds_and_louds_agree_on_degrees(self):
-        root = random_tree(13, max_nodes=30)
-        dfuds = DFUDSTree.from_tree(root, lambda node: node.children)
-        louds = LOUDSTree.from_tree(root, lambda node: node.children)
-        # Same multiset of degrees even though node numberings differ.
-        dfuds_degrees = sorted(dfuds.degree(i) for i in range(dfuds.node_count))
-        louds_degrees = sorted(louds.degree(i) for i in range(louds.node_count))
-        assert dfuds_degrees == louds_degrees
