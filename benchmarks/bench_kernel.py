@@ -6,6 +6,13 @@ Two families of sections:
   ``python`` backend for trajectory continuity) against faithful replicas of
   the seed implementation (per-bit in-word select scans, per-bit
   ``iter_range``, per-call rank loops, O(n^2) packing) on 1M-bit vectors;
+* the ``rrr_batch`` section -- ``RRRBitVector.access_many``/``rank_many``
+  against the scalar ``access``/``rank`` loop, one row per block class
+  (every block of the vector holds that many ones) under every available
+  backend, plus the kernel's ``decode_rrr_blocks`` against
+  ``combinatorial_unrank`` per class.  Batch and scalar answers are
+  cross-checked first, so this section is a differential check on every
+  CI leg, numpy-free included;
 * the ``backends`` section -- the python and numpy kernel backends side by
   side on the same inputs, per contract function.  Each backend is measured
   at its *native boundary* (python: list in / list out; numpy: word/query
@@ -33,6 +40,7 @@ import random
 import sys
 import time
 from bisect import bisect_right
+from math import comb
 from pathlib import Path
 from typing import Dict, Iterator, List
 
@@ -292,6 +300,7 @@ def run(quick: bool = False, repeats: int = 3) -> Dict[str, object]:
         payload = _run_seed_sections(quick, repeats)
     finally:
         kernel.use_backend(previous_backend)
+    payload["rrr_batch"] = _run_rrr_batch_sections(quick, repeats)
     payload["backends"] = _run_backend_sections(quick, repeats)
     return payload
 
@@ -409,6 +418,107 @@ def _run_seed_sections(quick: bool, repeats: int) -> Dict[str, object]:
         "python": sys.version.split()[0],
         "results": results,
     }
+
+
+# ----------------------------------------------------------------------
+# RRR batch read paths, per block class and backend
+# ----------------------------------------------------------------------
+RRR_CLASSES = (1, 2, 8, 31)
+
+
+def _class_bits(rng: random.Random, n_blocks: int, cls: int, block_size: int = 63):
+    """Bits whose every ``block_size``-bit block holds exactly ``cls`` ones."""
+    bits: List[int] = []
+    for _ in range(n_blocks):
+        block = [0] * block_size
+        for pos in rng.sample(range(block_size), cls):
+            block[pos] = 1
+        bits.extend(block)
+    return bits
+
+
+def _run_rrr_batch_sections(quick: bool, repeats: int) -> Dict[str, object]:
+    """RRR batch access/rank vs the scalar loop, per class and backend.
+
+    Rows ``rrr_access_many`` and ``rrr_rank_many`` hold one entry per block
+    class; each entry records, per available backend, the scalar-loop and
+    batch rates over the same random positions (``q`` queries over
+    ``n_blocks`` blocks), after asserting both answer identically.  The
+    ``decode`` row times ``decode_rrr_blocks`` against
+    ``combinatorial_unrank`` on the same ``(class, offset)`` pairs.
+    """
+    n_blocks = 300 if quick else 3_000
+    n_queries = 600 if quick else 20_000
+    rng = random.Random(20261017)
+    backends = list(kernel.available_backends())
+    rows: Dict[str, Dict[str, object]] = {
+        "rrr_access_many": {},
+        "rrr_rank_many": {},
+        "decode": {},
+    }
+    for cls in RRR_CLASSES:
+        bits = _class_bits(rng, n_blocks, cls)
+        length = len(bits)
+        access_positions = [rng.randrange(length) for _ in range(n_queries)]
+        rank_positions = [rng.randrange(length + 1) for _ in range(n_queries)]
+        cases = {
+            "rrr_access_many": (
+                access_positions,
+                lambda v, ps: [v.access(p) for p in ps],
+                lambda v, ps: v.access_many(ps),
+            ),
+            "rrr_rank_many": (
+                rank_positions,
+                lambda v, ps: [v.rank(1, p) for p in ps],
+                lambda v, ps: v.rank_many(1, ps),
+            ),
+        }
+        for row, (positions, scalar_fn, batch_fn) in cases.items():
+            entry: Dict[str, object] = {"ops": n_queries, "n_blocks": n_blocks}
+            for backend in backends:
+                previous = kernel.use_backend(backend)
+                try:
+                    vector = RRRBitVector(bits)
+                finally:
+                    kernel.use_backend(previous)
+                scalar, scalar_t = _timed_under_backend(
+                    backend, lambda: scalar_fn(vector, positions), repeats
+                )
+                batch, batch_t = _timed_under_backend(
+                    backend, lambda: batch_fn(vector, positions), repeats
+                )
+                assert batch == scalar, f"{row} class {cls} mismatch ({backend})"
+                entry[backend] = {
+                    "scalar_ops_per_sec": round(n_queries / scalar_t, 1),
+                    "batch_ops_per_sec": round(n_queries / batch_t, 1),
+                    "speedup": round(scalar_t / batch_t, 2),
+                }
+            rows[row][f"class_{cls}"] = entry
+
+        offsets = [rng.randrange(comb(63, cls)) for _ in range(n_queries)]
+        classes = [cls] * n_queries
+        expected = [combinatorial_unrank(offset, 63, cls) for offset in offsets]
+        unrank_t = _best_time(
+            lambda: [combinatorial_unrank(offset, 63, cls) for offset in offsets],
+            repeats,
+        )
+        entry = {
+            "ops": n_queries,
+            "unrank_blocks_per_sec": round(n_queries / unrank_t, 1),
+        }
+        for backend in backends:
+            decoded, decode_t = _timed_under_backend(
+                backend,
+                lambda: kernel.decode_rrr_blocks(63, classes, offsets),
+                repeats,
+            )
+            assert decoded == expected, f"decode class {cls} mismatch ({backend})"
+            entry[backend] = {
+                "decode_blocks_per_sec": round(n_queries / decode_t, 1),
+                "speedup": round(unrank_t / decode_t, 2),
+            }
+        rows["decode"][f"class_{cls}"] = entry
+    return {"block_size": 63, "backends": backends, "rows": rows}
 
 
 # ----------------------------------------------------------------------

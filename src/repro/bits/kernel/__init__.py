@@ -253,6 +253,13 @@ def block_popcounts(words: Sequence[int], length: int, block_size: int):
     return _active.block_popcounts(words, length, block_size)
 
 
+def decode_rrr_blocks(
+    width: int, classes: Sequence[int], offsets: Sequence[int]
+) -> List[int]:
+    """``width``-bit RRR block values of ``(class, offset)`` pairs."""
+    return _active.decode_rrr_blocks(width, classes, offsets)
+
+
 def select_in_word_many(word: int, ks: Sequence[int]) -> List[int]:
     """Offsets of the ``ks[i]``-th set bits of one word, ``ks`` ascending."""
     return _active.select_in_word_many(word, ks)

@@ -266,6 +266,23 @@ def block_popcounts(words: Sequence[int], length: int, block_size: int):
     return np.add.reduceat(bits.astype(np.int64), starts)
 
 
+def decode_rrr_blocks(
+    width: int, classes: Sequence[int], offsets: Sequence[int]
+) -> List[int]:
+    """Rebuild RRR blocks from their ``(class, offset)`` pairs.
+
+    Delegates to the python backend: each block is a data-dependent chain
+    of at most 31 bisects, which does not vectorise over a batch.  Native
+    class/offset arrays are accepted and normalised first; the result is
+    always a list of python ints.
+    """
+    if isinstance(classes, np.ndarray):
+        classes = classes.tolist()
+    if isinstance(offsets, np.ndarray):
+        offsets = offsets.tolist()
+    return pykernel.decode_rrr_blocks(width, classes, offsets)
+
+
 def one_positions(words: Sequence[int]):
     """Ascending positions of all set bits (``flatnonzero`` of the bit array)."""
     if not isinstance(words, np.ndarray) and len(words) < _SMALL:

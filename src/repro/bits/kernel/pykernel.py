@@ -36,6 +36,7 @@ import struct
 import sys
 from bisect import bisect_right
 from itertools import chain
+from math import comb
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 __all__ = [
@@ -69,6 +70,7 @@ __all__ = [
     "runs_of_words",
     "delete_positions_from_runs",
     "block_popcounts",
+    "decode_rrr_blocks",
     "prepare_symbols",
     "partition_by_pivot",
     "prepare_rank_select",
@@ -616,6 +618,58 @@ def block_popcounts(
     for start in range(0, length, block_size):
         stop = min(start + block_size, length)
         append(extract_bits_value(words, start, stop).bit_count())
+    return out
+
+
+# Columns of Pascal's triangle: ``_BINOMIAL_COLUMNS[k][n] = C(n, k)`` for
+# ``n < 64``.  Each column is non-decreasing in ``n``, so the largest ``n``
+# with ``C(n, k) <= x`` is one bisect.
+_BINOMIAL_COLUMNS = [[comb(n, k) for n in range(WORD)] for k in range(WORD)]
+
+
+def decode_rrr_blocks(
+    width: int, classes: Sequence[int], offsets: Sequence[int]
+) -> List[int]:
+    """Rebuild RRR blocks from their ``(class, offset)`` pairs.
+
+    ``width`` (at most 63) is the block size; block ``i`` has
+    ``classes[i]`` one bits and enumeration offset ``offsets[i]`` in the
+    order of :func:`repro.bits.codes.combinatorial_rank` (MSB-first
+    lexicographic, 1 before 0).  Returns the ``width``-bit block values,
+    the same integers :func:`repro.bits.codes.combinatorial_unrank` gives.
+
+    Decoding goes through the combinatorial number system: in that
+    enumeration the offset of a block is ``C(width, c) - 1`` minus the
+    colex rank ``sum C(s_i, i)`` of its one-bit positions ``s_1 < ... <
+    s_c`` (counted from the least significant bit), and the offset of a
+    dense block is directly the colex rank of its complement.  Each bit of
+    the minority value then costs one bisect over a column of Pascal's
+    triangle, so a block decodes in ``O(min(c, width - c) log width)``
+    instead of ``width`` enumeration steps.
+    """
+    columns = _BINOMIAL_COLUMNS
+    full = (1 << width) - 1
+    out: List[int] = []
+    append = out.append
+    for cls, offset in zip(classes, offsets):
+        if 2 * cls <= width:
+            minority = cls
+            remaining = columns[cls][width] - 1 - offset
+            flip = 0
+        else:
+            minority = width - cls
+            remaining = offset
+            flip = full
+        value = 0
+        hi = width
+        for k in range(minority, 0, -1):
+            column = columns[k]
+            # Largest s < hi with C(s, k) <= remaining; C(k - 1, k) = 0.
+            s = bisect_right(column, remaining, k - 1, hi) - 1
+            value |= 1 << s
+            remaining -= column[s]
+            hi = s
+        append(value ^ flip)
     return out
 
 

@@ -24,7 +24,6 @@ from repro.bits.codes import (
     combinatorial_bit_at,
     combinatorial_prefix_popcount,
     combinatorial_rank,
-    combinatorial_unrank,
     offset_width,
     offset_width_table,
 )
@@ -36,7 +35,12 @@ from repro.bits.kernel import (
     select_in_word,
     select_in_word_many,
 )
-from repro.bitvector.base import StaticBitVector, validate_select_indexes
+from repro.bitvector.base import (
+    StaticBitVector,
+    batch_min_max,
+    normalize_batch,
+    validate_select_indexes,
+)
 from repro.exceptions import OutOfBoundsError
 
 __all__ = ["RRRBitVector", "IncrementalRRRBuilder"]
@@ -236,7 +240,7 @@ class RRRBitVector(StaticBitVector):
         offset_value = extract_bits_value(
             self._offset_words, offset_pos, offset_pos + off_w
         )
-        return combinatorial_unrank(offset_value, self._block_size, cls)
+        return kernel.decode_rrr_blocks(self._block_size, (cls,), (offset_value,))[0]
 
     def _walk_to_block(self, block_index: int):
         """Return ``(rank_before, offset_pos)`` for the given block."""
@@ -272,11 +276,11 @@ class RRRBitVector(StaticBitVector):
         self._check_rank_pos(pos)
         if pos == 0:
             return 0
-        block_index, offset = divmod(pos, self._block_size)
-        if block_index >= len(self._class_list):
-            # pos == length and length is a multiple of block_size
+        if pos == self._length:
+            # The whole vector (every count() of a node): no block decode.
             ones = self._ones
             return ones if bit else pos - ones
+        block_index, offset = divmod(pos, self._block_size)
         rank_before, offset_pos = self._walk_to_block(block_index)
         ones = rank_before
         if offset:
@@ -293,6 +297,124 @@ class RRRBitVector(StaticBitVector):
                     offset_value, self._block_size, cls, offset
                 )
         return ones if bit else pos - ones
+
+    # ------------------------------------------------------------------
+    # Batch queries: one directory walk and one decode per touched block
+    # ------------------------------------------------------------------
+    def _decode_blocks(self, blocks: List[int]):
+        """``(ones_before, values)`` of each block in ascending ``blocks``.
+
+        Each superblock run is walked once: consecutive touched blocks of
+        the same superblock continue from the previous one instead of
+        restarting at the sample.  All touched blocks are then decoded in
+        one kernel call.
+        """
+        classes = self._class_list
+        widths = self._width_by_class
+        rate = self._sample_rate
+        words = self._offset_words
+        ones_before: List[int] = []
+        block_classes: List[int] = []
+        offsets: List[int] = []
+        current = sample = -1
+        ones = offset_pos = 0
+        for block in blocks:
+            if block // rate != sample:
+                sample = block // rate
+                ones = self._sample_rank[sample]
+                offset_pos = self._sample_offset_pos[sample]
+                current = sample * rate
+            for between in range(current, block):
+                cls = classes[between]
+                ones += cls
+                offset_pos += widths[cls]
+            current = block
+            cls = classes[block]
+            ones_before.append(ones)
+            block_classes.append(cls)
+            width = widths[cls]
+            offsets.append(
+                extract_bits_value(words, offset_pos, offset_pos + width)
+                if width
+                else 0
+            )
+        return ones_before, kernel.decode_rrr_blocks(
+            self._block_size, block_classes, offsets
+        )
+
+    @staticmethod
+    def _batch(positions, stop: int, check):
+        """Positions as a list of ints, each in ``[0, stop)``.
+
+        All-or-nothing: the first offending position in input order raises
+        the error ``check`` (the scalar call's own check) gives it.
+        """
+        positions = normalize_batch(positions)
+        if not isinstance(positions, (list, tuple)):
+            positions = kernel.as_int_list(positions)
+        if positions:
+            lo, hi = batch_min_max(positions)
+            if lo < 0 or hi >= stop:
+                for pos in positions:
+                    check(pos)
+        return positions
+
+    def access_many(self, positions) -> List[int]:
+        """Bits at each of ``positions``, in input order.
+
+        The touched blocks are walked in ascending order, each superblock
+        run once, and each touched block is decoded once by the kernel's
+        :func:`~repro.bits.kernel.decode_rrr_blocks`; every position is
+        then one shift of its block.  Amortised ``O(q log q + D + B m)``
+        for ``q`` positions over ``B`` distinct blocks (``D`` blocks walked,
+        ``m`` the per-block minority popcount) against ``q`` independent
+        walks plus truncated descents.  A one-position batch takes the
+        scalar path, so it costs no more than :meth:`access`.
+        """
+        positions = self._batch(positions, self._length, self._check_pos)
+        if len(positions) < 2:
+            return [self.access(pos) for pos in positions]
+        block_size = self._block_size
+        blocks = sorted({pos // block_size for pos in positions})
+        _, values = self._decode_blocks(blocks)
+        value_of = dict(zip(blocks, values))
+        last = block_size - 1
+        return [
+            (value_of[pos // block_size] >> (last - pos % block_size)) & 1
+            for pos in positions
+        ]
+
+    def rank_many(self, bit: int, positions) -> List[int]:
+        """``rank(bit, pos)`` for each of ``positions``, in input order.
+
+        Same plan as :meth:`access_many`: one ascending directory walk, one
+        kernel decode per touched block, then one popcount of a block
+        prefix per position (``pos == len`` needs no block at all).
+        Amortised ``O(q log q + D + B m)`` against ``q`` independent walks
+        plus truncated descents; a one-position batch takes the scalar path.
+        """
+        self._check_bit(bit)
+        positions = self._batch(
+            positions, self._length + 1, self._check_rank_pos
+        )
+        if len(positions) < 2:
+            return [self.rank(bit, pos) for pos in positions]
+        block_size = self._block_size
+        length = self._length
+        blocks = sorted({pos // block_size for pos in positions if pos < length})
+        ones_before, values = self._decode_blocks(blocks)
+        block_of = dict(zip(blocks, zip(ones_before, values)))
+        out: List[int] = []
+        append = out.append
+        for pos in positions:
+            if pos == length:
+                ones = self._ones
+            else:
+                block, offset = divmod(pos, block_size)
+                before, value = block_of[block]
+                ones = before + (value >> (block_size - offset)).bit_count()
+            append(ones if bit else pos - ones)
+        return out
 
     def select(self, bit: int, idx: int) -> int:
         self._check_bit(bit)

@@ -123,21 +123,89 @@ class EliasFanoSequence:
         low = self._low[index] if self._low_width else 0
         return (high << self._low_width) | low
 
-    def rank(self, value: int) -> int:
-        """Number of stored values strictly smaller than ``value``."""
-        if value <= 0:
+    def _bucket_start(self, bucket: int, zero_select) -> int:
+        """Index of the first stored value whose high part is >= ``bucket``.
+
+        ``zero_select(j)`` is the position of the ``j``-th 0 of the high
+        bits: the ``bucket``-th 0 closes bucket ``bucket - 1``, and every 1
+        before it is a value in a lower bucket.
+        """
+        if bucket <= 0:
             return 0
-        if self._n == 0:
-            return 0
-        # Binary search; the sequence is monotone.
-        lo, hi = 0, self._n
+        if bucket > len(self._high) - self._n:  # past the last bucket
+            return self._n
+        return zero_select(bucket - 1) + 1 - bucket
+
+    def _rank_in_bucket(self, value: int, lo: int, hi: int) -> int:
+        """``lo`` plus the values of ``[lo, hi)`` (one bucket) below ``value``."""
+        if not self._low_width:
+            return lo
+        target = value & ((1 << self._low_width) - 1)
+        low = self._low
         while lo < hi:
             mid = (lo + hi) // 2
-            if self.select(mid) < value:
+            if low[mid] < target:
                 lo = mid + 1
             else:
                 hi = mid
         return lo
+
+    def rank(self, value: int) -> int:
+        """Number of stored values strictly smaller than ``value``.
+
+        Two ``select(0, .)`` calls on the high bits bound the bucket of
+        ``value``; a search over the low bits of that bucket alone finishes
+        it.  Buckets of distinct values hold at most ``2**low_width <= u/n``
+        entries.
+        """
+        if value <= 0 or self._n == 0:
+            return 0
+        bucket = value >> self._low_width
+        select0 = self._high.select0
+        return self._rank_in_bucket(
+            value,
+            self._bucket_start(bucket, select0),
+            self._bucket_start(bucket + 1, select0),
+        )
+
+    def rank_many(self, values: Sequence[int]) -> List[int]:
+        """``rank(value)`` for each of ``values``, in input order.
+
+        Every bucket boundary the batch needs comes from one batched
+        ``select_many(0, .)`` on the high bits (a sorted directory walk),
+        then each value searches its own bucket.  Amortised
+        ``O(q log q + q log(u/n))`` against two scalar zero-selects per
+        value.
+        """
+        values = [int(value) for value in values]
+        if self._n == 0:
+            return [0] * len(values)
+        shift = self._low_width
+        last = len(self._high) - self._n
+        needed = sorted(
+            {
+                bucket - 1
+                for value in values
+                if value > 0
+                for bucket in (value >> shift, (value >> shift) + 1)
+                if 0 < bucket <= last
+            }
+        )
+        zero_at = dict(zip(needed, self._high.select_many(0, needed)))
+        out: List[int] = []
+        for value in values:
+            if value <= 0:
+                out.append(0)
+                continue
+            bucket = value >> shift
+            out.append(
+                self._rank_in_bucket(
+                    value,
+                    self._bucket_start(bucket, zero_at.__getitem__),
+                    self._bucket_start(bucket + 1, zero_at.__getitem__),
+                )
+            )
+        return out
 
     def predecessor(self, value: int) -> int:
         """Largest index ``i`` with ``self[i] <= value``; raises if none exists."""
@@ -211,6 +279,23 @@ class SparseBitVector(StaticBitVector):
         self._check_rank_pos(pos)
         ones = self._positions.rank(pos)
         return ones if bit else pos - ones
+
+    def rank_many(self, bit: int, positions) -> List[int]:
+        """``rank(bit, pos)`` for each of ``positions``, in input order.
+
+        One :meth:`EliasFanoSequence.rank_many` over the whole batch: the
+        bucket boundaries come from a single batched zero-select on the
+        high bits.  Amortised ``O(q log q + q log(u/n))`` against two scalar
+        zero-selects per position.
+        """
+        self._check_bit(bit)
+        positions = [int(pos) for pos in positions]
+        for pos in positions:
+            self._check_rank_pos(pos)
+        ones = self._positions.rank_many(positions)
+        if bit:
+            return ones
+        return [pos - count for pos, count in zip(positions, ones)]
 
     def select(self, bit: int, idx: int) -> int:
         self._check_bit(bit)

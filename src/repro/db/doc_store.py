@@ -141,8 +141,9 @@ class DocumentStore:
     def locate(self, pattern: str) -> List[Tuple[int, int]]:
         """Every occurrence as ``(document, offset)``, ascending.
 
-        The FM-index yields text positions; one batched ``rank``/``select``
-        pair on the starts bitvector maps them all to document coordinates.
+        The FM-index yields text positions; one ``rank_many`` (Elias-Fano
+        bucket bounds from one batched zero-select) and one ``select_many``
+        on the starts bitvector map them all to document coordinates.
         """
         self._check_pattern(pattern)
         positions = self._fm.locate(pattern)

@@ -10,8 +10,11 @@ roughly the character entropy of the text while answering
   of two scalar rank walks;
 * ``locate(pattern)`` -- all occurrence positions, via a sampled suffix
   array (``sa_sample`` is the space/time knob: one stored position every
-  ``sa_sample`` text positions, at most ``sa_sample - 1`` batched LF steps
-  per occurrence);
+  ``sa_sample`` text positions, at most ``sa_sample - 1`` LF steps per
+  occurrence).  All occurrences step together: a round is one batched
+  marked-row test on an RRR bitvector plus one BWT descent
+  (``access_many(rows, ranks=True)``) that yields each row's symbol and
+  its rank, so ``LF = C[c] + rank`` costs no separate rank walk;
 * ``extract(start, stop)`` -- any text slice, via inverse-suffix-array
   samples (at most ``sa_sample`` extra LF steps past the slice).
 
@@ -23,6 +26,7 @@ subsystem was built for.  See docs/ARCHITECTURE.md, "Full-text search".
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bits.packed import PackedIntVector
@@ -298,38 +302,33 @@ class FMIndex:
         Each of the ``occ`` matching rows walks the LF mapping until it hits
         a sampled row (< ``sa_sample`` steps, since LF decrements the text
         position and every ``sa_sample``-th position is sampled).  The walks
-        advance together: one ``access_many`` over all live rows plus one
-        ``rank_many`` per distinct BWT symbol per step, instead of
-        ``occ * sa_sample`` scalar walks.
+        advance together in rounds.  A round costs one batched
+        ``access_many`` on the RRR marked-row vector (plus one
+        ``rank_many`` over the rows it resolves), and one BWT
+        ``access_many(..., ranks=True)`` descent.  That descent yields each
+        live row's symbol ``c`` and ``rank(c, row)`` together, so
+        ``LF(row) = C[c] + rank`` needs no second wavelet walk.  Against
+        ``occ * sa_sample`` scalar walks, the work is amortised to at most
+        ``sa_sample`` rounds of batched block decodes and node passes.
         """
         self._check_pattern(pattern)
         low, high = self._interval(pattern)
-        positions: List[Optional[int]] = [None] * (high - low)
-        pending = [(row, slot, 0) for slot, row in enumerate(range(low, high))]
-        while pending:
-            marks = self._marked.access_many([row for row, _, _ in pending])
-            resolved = [state for state, mark in zip(pending, marks) if mark]
-            if resolved:
-                sample_indexes = self._marked.rank_many(
-                    1, [row for row, _, _ in resolved]
-                )
-                for (_, slot, steps), index in zip(resolved, sample_indexes):
-                    positions[slot] = self._samples[index] + steps
-            pending = [state for state, mark in zip(pending, marks) if not mark]
-            if not pending:
-                break
-            symbols = self._bwt.access_many([row for row, _, _ in pending])
-            by_code: Dict[int, List[Tuple[int, int, int]]] = {}
-            for state, code in zip(pending, symbols):
-                by_code.setdefault(code, []).append(state)
-            pending = []
-            for code, group in by_code.items():
-                ranks = self._bwt.rank_many(code, [row for row, _, _ in group])
-                base = self._c_table[code]
-                pending.extend(
-                    (base + rank, slot, steps + 1)
-                    for (_, slot, steps), rank in zip(group, ranks)
-                )
+        positions: List[int] = []
+        rows = list(range(low, high))
+        # Every live row has taken the same number of LF steps.
+        steps = 0
+        c_table = self._c_table
+        while rows:
+            marks = self._marked.access_many(rows)
+            if any(marks):
+                samples = self._marked.rank_many(1, list(compress(rows, marks)))
+                positions.extend(self._samples[sample] + steps for sample in samples)
+                rows = [row for row, mark in zip(rows, marks) if not mark]
+                if not rows:
+                    break
+            codes, ranks = self._bwt.access_many(rows, ranks=True)
+            rows = [c_table[code] + rank for code, rank in zip(codes, ranks)]
+            steps += 1
         return sorted(positions)
 
     def extract(self, start: int, stop: int) -> str:

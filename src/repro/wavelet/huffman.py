@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
+from itertools import compress
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bits.bitstring import Bits
@@ -169,13 +170,19 @@ class HuffmanWaveletTree:
     # ------------------------------------------------------------------
     # Batch query paths (docs/API.md, "The batch-API convention")
     # ------------------------------------------------------------------
-    def access_many(self, positions: Sequence[int]) -> List[Hashable]:
+    def access_many(self, positions: Sequence[int], ranks: bool = False):
         """The symbols at each of ``positions``.
 
         Queries descend the code trie in groups: each touched node is
         visited once per batch with one ``access_many``/``rank_many`` pair
         on its bitvector, so node and attribute overhead is amortised over
         the whole batch instead of paid per query.
+
+        With ``ranks=True`` the result is the pair ``(symbols, ranks)``
+        where ``ranks[i] = rank(symbols[i], positions[i])``: the position a
+        query reaches at its leaf *is* that rank, so it comes for free with
+        the descent.  The FM-index LF step ``C[c] + rank(c, row)`` then
+        costs one descent instead of an access plus a rank walk.
         """
         if not isinstance(positions, (list, tuple)):
             positions = list(positions)
@@ -184,40 +191,46 @@ class HuffmanWaveletTree:
                 raise OutOfBoundsError(
                     f"position {pos} out of range for length {self._size}"
                 )
-        if not positions:
-            return []
         out: List[Optional[Hashable]] = [None] * len(positions)
-        stack: List[Tuple[_CodeNode, List[Tuple[int, int]]]] = [
-            (self._root, list(enumerate(positions)))
-        ]
+        leaf_ranks: List[int] = [0] * len(positions)
+        # Each stack entry holds parallel lists: the queries' output slots
+        # and their positions inside the node's subsequence.
+        stack: List[Tuple[_CodeNode, List[int], List[int]]] = (
+            [(self._root, list(range(len(positions))), list(positions))]
+            if positions
+            else []
+        )
         while stack:
-            node, queries = stack.pop()
+            node, slots, rows = stack.pop()
             if node.is_leaf:
                 symbol = node.symbol
-                for index, _ in queries:
-                    out[index] = symbol
+                for slot, row in zip(slots, rows):
+                    out[slot] = symbol
+                    leaf_ranks[slot] = row
                 continue
             vector = node.bitvector
-            pos_list = [pos for _, pos in queries]
-            bits = vector.access_many(pos_list)
+            bits = vector.access_many(rows)
             # One rank_many(0) pass serves both children: rank(1, pos) is
             # just pos - rank(0, pos).
-            zero_ranks = vector.rank_many(0, pos_list)
-            lefts = [
-                (index, rank)
-                for (index, _), bit, rank in zip(queries, bits, zero_ranks)
-                if not bit
-            ]
-            rights = [
-                (index, pos - rank)
-                for (index, pos), bit, rank in zip(queries, bits, zero_ranks)
-                if bit
-            ]
-            if lefts:
-                stack.append((node.children[0], lefts))
-            if rights:
-                stack.append((node.children[1], rights))
-        return out
+            zero_ranks = vector.rank_many(0, rows)
+            to_left = [bit ^ 1 for bit in bits]
+            left_slots = list(compress(slots, to_left))
+            if left_slots:
+                stack.append(
+                    (node.children[0], left_slots, list(compress(zero_ranks, to_left)))
+                )
+            if len(left_slots) < len(slots):
+                stack.append(
+                    (
+                        node.children[1],
+                        list(compress(slots, bits)),
+                        [
+                            row - rank
+                            for row, rank in compress(zip(rows, zero_ranks), bits)
+                        ],
+                    )
+                )
+        return (out, leaf_ranks) if ranks else out
 
     def rank_many(self, symbol: Hashable, positions: Sequence[int]) -> List[int]:
         """``rank(symbol, pos)`` for each of ``positions``.

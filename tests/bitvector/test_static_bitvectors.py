@@ -5,8 +5,10 @@ bursty and degenerate inputs, plus encoding-specific checks (RRR compression
 against B(m, n), RLE run recovery, Elias-Fano monotone access).
 """
 
+import contextlib
 import math
 import random
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,10 +22,23 @@ from repro.bitvector import (
     RRRBitVector,
     SparseBitVector,
 )
+from repro.bits import kernel
 from repro.bitvector.rle import runs_of
 from repro.exceptions import OutOfBoundsError
 
 from tests.conftest import reference_rank, reference_select
+
+BACKENDS = kernel.available_backends()
+
+
+@contextlib.contextmanager
+def active_backend(name):
+    previous = kernel.use_backend(name)
+    try:
+        yield
+    finally:
+        kernel.use_backend(previous)
+
 
 STATIC_CLASSES = [PlainBitVector, RRRBitVector, RLEBitVector, SparseBitVector.from_bits]
 STATIC_IDS = ["plain", "rrr", "rle", "sparse"]
@@ -211,6 +226,37 @@ class TestEliasFano:
             probe = values[len(values) // 2]
             assert sequence.rank(probe) == sum(1 for v in values if v < probe)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @given(
+        raw=st.lists(st.integers(min_value=0, max_value=5000), max_size=120),
+        spread=st.sampled_from([None, 1, 64, 10**6]),
+        probes=st.lists(st.integers(min_value=-3, max_value=10**6 + 100), max_size=40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rank_and_rank_many_match_bisect(self, backend, raw, spread, probes):
+        """Scalar and batched rank against ``bisect_left``: duplicates,
+        empty buckets (sparse values in a large universe), ``low_width ==
+        0`` (a universe no larger than the count) and probes at or beyond
+        the universe."""
+        values = sorted(raw)
+        universe = None if spread is None or not values else values[-1] + spread
+        with active_backend(backend):
+            sequence = EliasFanoSequence(values, universe=universe)
+            probes = probes + values + [v + 1 for v in values] + [sequence.universe]
+            expected = [bisect_left(values, probe) for probe in probes]
+            assert [sequence.rank(probe) for probe in probes] == expected
+            assert sequence.rank_many(probes) == expected
+            assert sequence.rank_many([]) == []
+
+    def test_rank_with_zero_low_width(self):
+        values = [0, 1, 1, 2, 5, 5, 5, 6]
+        sequence = EliasFanoSequence(values)
+        assert sequence._low_width == 0
+        probes = list(range(-1, 10))
+        expected = [bisect_left(values, probe) for probe in probes]
+        assert [sequence.rank(probe) for probe in probes] == expected
+        assert sequence.rank_many(probes) == expected
+
     def test_space_close_to_theory(self):
         rng = random.Random(3)
         values = sorted(rng.sample(range(1_000_000), 2000))
@@ -229,6 +275,35 @@ class TestSparseBitVector:
     def test_position_out_of_range(self):
         with pytest.raises(OutOfBoundsError):
             SparseBitVector(10, [10])
+
+    def test_empty_vector_rank(self):
+        vector = SparseBitVector(0, [])
+        assert vector.rank(1, 0) == vector.rank(0, 0) == 0
+        assert vector.rank_many(1, [0, 0]) == [0, 0]
+        assert vector.rank_many(0, []) == []
+        with pytest.raises(OutOfBoundsError):
+            vector.rank_many(1, [0, 1])
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @given(
+        length=st.integers(1, 3000),
+        seed=st.integers(0, 2**32),
+        density=st.sampled_from([0.0, 0.002, 0.05, 0.5, 1.0]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rank_many_matches_scalar(self, backend, length, seed, density):
+        rng = random.Random(seed)
+        ones = [pos for pos in range(length) if rng.random() < density]
+        positions = [rng.randint(0, length) for _ in range(30)] + [0, length]
+        with active_backend(backend):
+            vector = SparseBitVector(length, ones)
+            for bit in (0, 1):
+                expected = [vector.rank(bit, pos) for pos in positions]
+                assert vector.rank_many(bit, positions) == expected
+                assert expected == [
+                    bisect_left(ones, pos) if bit else pos - bisect_left(ones, pos)
+                    for pos in positions
+                ]
 
     def test_select0(self, random_bits):
         bits = random_bits[:800]

@@ -10,6 +10,8 @@ the committed ``BENCH_kernel.json`` records the full-size numbers.
 import importlib.util
 from pathlib import Path
 
+from repro.bits import kernel
+
 BENCH_PATH = (
     Path(__file__).resolve().parent.parent.parent / "benchmarks" / "bench_kernel.py"
 )
@@ -54,6 +56,17 @@ def test_bench_kernel_quick_mode():
         assert entry["seed_ops_per_sec"] > 0, name
         assert entry["kernel_ops_per_sec"] > 0, name
         assert entry["speedup"] > 0, name
+    # The RRR batch rows run (and cross-check batch against scalar answers)
+    # under every available backend, numpy-free installs included.
+    rrr = payload["rrr_batch"]
+    assert rrr["backends"] == list(kernel.available_backends())
+    assert set(rrr["rows"]) == {"rrr_access_many", "rrr_rank_many", "decode"}
+    for row in rrr["rows"].values():
+        assert set(row) == {f"class_{cls}" for cls in bench.RRR_CLASSES}
+        for entry in row.values():
+            assert entry["ops"] > 0
+            for backend in rrr["backends"]:
+                assert entry[backend]["speedup"] > 0
     backends = payload["backends"]
     assert "python" in backends["available"]
     if "numpy" not in backends["available"]:

@@ -1,5 +1,6 @@
 """Tests for Huffman codes and the Huffman-shaped Wavelet Tree."""
 
+import contextlib
 import random
 from collections import Counter
 
@@ -7,8 +8,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.entropy import empirical_entropy
+from repro.bits import kernel
+from repro.bitvector.plain import PlainBitVector
+from repro.bitvector.rrr import RRRBitVector
 from repro.exceptions import OutOfBoundsError, ValueNotFoundError
 from repro.wavelet import HuffmanWaveletTree, huffman_codes
+
+
+@contextlib.contextmanager
+def active_backend(name):
+    previous = kernel.use_backend(name)
+    try:
+        yield
+    finally:
+        kernel.use_backend(previous)
 
 
 class TestHuffmanCodes:
@@ -146,6 +159,30 @@ class TestHuffmanBatchAPIs:
         assert tree.rank_many("x", [0, 3, 6]) == [0, 3, 6]
         assert tree.rank_many("y", [2, 4]) == [0, 0]
         assert tree.select_many("x", [5, 0]) == [5, 0]
+
+    def test_leaf_ranks_edge_cases(self):
+        assert HuffmanWaveletTree(self.DATA).access_many([], ranks=True) == ([], [])
+        single = HuffmanWaveletTree(["x"] * 6)
+        assert single.access_many([4, 0, 4], ranks=True) == (["x"] * 3, [4, 0, 4])
+
+    @pytest.mark.parametrize("backend", kernel.available_backends())
+    @pytest.mark.parametrize("factory", [RRRBitVector, PlainBitVector])
+    @given(
+        data=st.lists(st.sampled_from("abcde "), min_size=1, max_size=300),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_property_leaf_ranks_match_scalar_rank(self, backend, factory, data, seed):
+        """``access_many(..., ranks=True)`` pairs each symbol with its
+        scalar ``rank`` at the queried position (unsorted, duplicated)."""
+        rng = random.Random(seed)
+        positions = [rng.randrange(len(data)) for _ in range(rng.randint(0, 40))]
+        with active_backend(backend):
+            tree = HuffmanWaveletTree(data, bitvector_factory=factory)
+            symbols, ranks = tree.access_many(positions, ranks=True)
+            assert symbols == tree.access_many(positions)
+            assert symbols == [data[p] for p in positions]
+            assert ranks == [tree.rank(s, p) for s, p in zip(symbols, positions)]
 
     @given(
         data=st.lists(st.sampled_from("abcde "), min_size=1, max_size=120),
