@@ -1,11 +1,17 @@
 """Cold-open benchmark: RWT1 logical load vs RWT2 mmap open -> BENCH_storage.json.
 
 The claim under test is the tentpole property of the frozen-image container:
-opening an RWT2 file costs O(sections) -- no word array is read, decoded or
+opening an RWT2 file costs O(header) -- no word array is read, decoded or
 copied -- so the cold-open latency is (a) orders of magnitude below the RWT1
 decode-and-rebuild path and (b) roughly flat as the index grows 1M -> 10M
 elements, while resident memory after open stays near the interpreter
-baseline because pages fault in lazily.
+baseline because pages fault in lazily.  Those sizes use a 16-value
+vocabulary; the **high-cardinality case** (``high_cardinality`` in the
+payload) images a URL-log trie with tens of thousands of distinct values
+(100k rows in full mode, 3k in quick mode) and records the RWT2 file size,
+section count, header size and cold-open latency next to the RWT1 size --
+the image holds one section per element kind, so the section count stays
+at most 4 however many trie nodes there are (the quick mode asserts it).
 
 Index construction at 10M elements is made affordable by *tiling*: for a
 fixed vocabulary, the node bitvectors of a k-fold repeated value sequence
@@ -64,7 +70,9 @@ from repro.bitvector.rrr import RRRBitVector
 from repro.core.node import WaveletTrieNode
 from repro.core.static import WaveletTrie
 from repro.storage import load, open_image, save, save_image
+from repro.storage.image import FrozenImage
 from repro.storage.serializers import _bitvector_content
+from repro.workloads.urls import UrlLogGenerator
 
 _VOCAB = [f"/d{i // 4}/p{i % 4}" for i in range(16)]
 
@@ -242,6 +250,60 @@ def _shared_page_cache(path: Path, open_call: str, workers: int = 4) -> Dict[str
 
 
 # ----------------------------------------------------------------------
+# High-cardinality case
+# ----------------------------------------------------------------------
+def _url_sample(trie, rows: List[str], positions: List[int]):
+    """Query fingerprint for the URL-log trie: access + rank + prefix count."""
+    return (
+        [trie.access(position) for position in positions],
+        trie.rank(rows[0], len(trie)),
+        trie.count_prefix(rows[0][:12]),
+    )
+
+
+def high_cardinality(quick: bool, workdir: Path, repeats: int) -> Dict[str, object]:
+    """Image a URL-log trie at high cardinality; RWT2 layout vs RWT1 size."""
+    rows = UrlLogGenerator(seed=3).generate(3_000 if quick else 100_000)
+    entry: Dict[str, object] = {"elements": len(rows), "distinct": len(set(rows))}
+    started = time.perf_counter()
+    trie = WaveletTrie(rows)
+    entry["build_s"] = round(time.perf_counter() - started, 3)
+    positions = _probe_positions(len(rows))
+    expected = _url_sample(trie, rows, positions)
+
+    image_path = workdir / "urls.rwt2"
+    _, save_image_s = _timed(lambda: save_image(trie, image_path), 1)
+    data = image_path.read_bytes()
+    image = FrozenImage(data)
+    entry["rwt2_bytes"] = len(data)
+    entry["rwt2_sections"] = len(image.section_names())
+    entry["rwt2_header_bytes"] = 20 + int.from_bytes(data[8:16], "little")
+    entry["rwt2_payload_bytes"] = sum(
+        len(image.section(name)) for name in image.section_names()
+    )
+    entry["rwt2_save_s"] = round(save_image_s, 4)
+    _, open_s = _timed(lambda: open_image(image_path), repeats)
+    entry["rwt2_open_s"] = round(open_s, 6)
+    for backend in kernel.available_backends():
+        previous = kernel.use_backend(backend)
+        try:
+            assert _url_sample(open_image(image_path), rows, positions) == expected, (
+                f"high-cardinality image mismatch under {backend} backend"
+            )
+        finally:
+            kernel.use_backend(previous)
+
+    rwt1_path = workdir / "urls.rwt1"
+    _, save_s = _timed(lambda: save(trie, rwt1_path), 1)
+    entry["rwt1_bytes"] = rwt1_path.stat().st_size
+    entry["rwt1_save_s"] = round(save_s, 4)
+    entry["rwt2_vs_rwt1_bytes"] = round(entry["rwt2_bytes"] / entry["rwt1_bytes"], 2)
+    if not quick:
+        entry["cold_rwt2"] = _cold_open(image_path, "open_image")
+    return entry
+
+
+# ----------------------------------------------------------------------
 # The benchmark
 # ----------------------------------------------------------------------
 def run(quick: bool = False, repeats: int = 3) -> Dict[str, object]:
@@ -337,6 +399,8 @@ def run(quick: bool = False, repeats: int = 3) -> Dict[str, object]:
 
             results[f"n={n}"] = entry
 
+        high = high_cardinality(quick, Path(workdir), repeats)
+
     sizes = [base_count * k for k in tile_factors]
     flatness: Optional[float] = None
     if len(sizes) >= 2:
@@ -349,6 +413,7 @@ def run(quick: bool = False, repeats: int = 3) -> Dict[str, object]:
         "vocabulary": len(_VOCAB),
         "backends": list(kernel.available_backends()),
         "results": results,
+        "high_cardinality": high,
         # open-time growth across a {sizes[-1]//sizes[0]}x size increase;
         # ~1.0 means the open cost is independent of index size.
         "rwt2_open_growth": flatness,

@@ -126,25 +126,27 @@ class PlainBitVector(StaticBitVector):
     # ------------------------------------------------------------------
     # Frozen-image (RWT2) exchange -- see docs/ARCHITECTURE.md, "Storage"
     # ------------------------------------------------------------------
-    def to_words_image(self, sink, prefix: str) -> dict:
+    def to_words_image(self, sink) -> dict:
         """Write the payload words and every directory into an image sink.
 
-        Sections (all little-endian, named ``prefix`` + suffix): ``words``
-        is the padded word payload *including* the rank shadow sentinel;
-        ``super``/``wpop``/``wcum`` are the two-level directory and
-        ``acum``/``zcum`` the flat per-word absolute cumulatives.  Returns
-        the meta dict :meth:`from_words_image` needs.
+        The meta dict :meth:`from_words_image` needs holds one span per
+        array: ``words`` is the padded word payload *including* the rank
+        shadow sentinel; ``super``/``wpop``/``wcum`` are the two-level
+        directory and ``acum``/``zcum`` the flat per-word absolute
+        cumulatives.
         """
-        sink.add_u64(prefix + "words", self._pad_words)
-        sink.add_i64(prefix + "super", self._super_cum)
-        sink.add_bytes(prefix + "wpop", bytes(self._word_pop))
-        sink.add_u16(prefix + "wcum", self._word_cum)
-        sink.add_i64(prefix + "acum", self._word_abs_cum)
-        sink.add_i64(prefix + "zcum", self._word_abs_zero_cum)
-        return {"length": self._length}
+        return {
+            "length": self._length,
+            "words": sink.add_u64(self._pad_words),
+            "super": sink.add_i64(self._super_cum),
+            "wpop": sink.add_bytes(self._word_pop),
+            "wcum": sink.add_u16(self._word_cum),
+            "acum": sink.add_i64(self._word_abs_cum),
+            "zcum": sink.add_i64(self._word_abs_zero_cum),
+        }
 
     @classmethod
-    def from_words_image(cls, image, prefix: str, meta: dict) -> "PlainBitVector":
+    def from_words_image(cls, image, meta: dict) -> "PlainBitVector":
         """Open from a frozen image; every field is a zero-copy buffer view.
 
         Nothing is rebuilt: the words and all five directories alias the
@@ -153,15 +155,15 @@ class PlainBitVector(StaticBitVector):
         batch handles wrap the same bytes without copying.
         """
         self = cls.__new__(cls)
-        pad = image.words(prefix + "words")
+        pad = image.words(meta["words"])
         self._pad_words = pad
         self._words = pad[:-1]
         self._length = int(meta["length"])
-        self._super_cum = image.int64(prefix + "super")
-        self._word_pop = image.section(prefix + "wpop")
-        self._word_cum = image.uint16(prefix + "wcum")
-        self._word_abs_cum = image.int64(prefix + "acum")
-        self._word_abs_zero_cum = image.int64(prefix + "zcum")
+        self._super_cum = image.int64(meta["super"])
+        self._word_pop = image.bytes(meta["wpop"])
+        self._word_cum = image.uint16(meta["wcum"])
+        self._word_abs_cum = image.int64(meta["acum"])
+        self._word_abs_zero_cum = image.int64(meta["zcum"])
         self._batch_handle = None
         self._batch_backend = None
         return self

@@ -173,29 +173,29 @@ class RRRBitVector(StaticBitVector):
     # ------------------------------------------------------------------
     # Frozen-image (RWT2) exchange -- see docs/ARCHITECTURE.md, "Storage"
     # ------------------------------------------------------------------
-    def to_words_image(self, sink, prefix: str) -> dict:
+    def to_words_image(self, sink) -> dict:
         """Write classes, offset words and the sampled directories to a sink.
 
-        Sections: ``cls`` (one byte per block), ``off`` (the packed offset
-        stream), ``srank``/``spos`` (the superblock samples).  The per-class
-        width table is recomputed on load (it only depends on the block
-        size), so no derived state is stored.  Returns the meta dict
-        :meth:`from_words_image` needs.
+        The meta dict :meth:`from_words_image` needs holds the spans of
+        ``cls`` (one byte per block), ``off`` (the packed offset stream) and
+        ``srank``/``spos`` (the superblock samples).  The per-class width
+        table is recomputed on load (it only depends on the block size), so
+        no derived state is stored.
         """
-        sink.add_bytes(prefix + "cls", bytes(self._class_list))
-        sink.add_u64(prefix + "off", self._offset_words)
-        sink.add_i64(prefix + "srank", self._sample_rank)
-        sink.add_i64(prefix + "spos", self._sample_offset_pos)
         return {
             "length": self._length,
             "block_size": self._block_size,
             "sample_rate": self._sample_rate,
             "ones": self._ones,
             "offset_len": self._offset_len,
+            "cls": sink.add_bytes(self._class_list),
+            "off": sink.add_u64(self._offset_words),
+            "srank": sink.add_i64(self._sample_rank),
+            "spos": sink.add_i64(self._sample_offset_pos),
         }
 
     @classmethod
-    def from_words_image(cls, image, prefix: str, meta: dict) -> "RRRBitVector":
+    def from_words_image(cls, image, meta: dict) -> "RRRBitVector":
         """Open from a frozen image; no block is re-encoded or decoded.
 
         The class bytes, offset words and sample directories alias the
@@ -210,10 +210,10 @@ class RRRBitVector(StaticBitVector):
         self._ones = int(meta["ones"])
         self._offset_len = int(meta["offset_len"])
         self._width_by_class = offset_width_table(self._block_size)
-        self._class_list = image.section(prefix + "cls")
-        self._offset_words = image.words(prefix + "off")
-        self._sample_rank = image.int64(prefix + "srank")
-        self._sample_offset_pos = image.int64(prefix + "spos")
+        self._class_list = image.bytes(meta["cls"])
+        self._offset_words = image.words(meta["off"])
+        self._sample_rank = image.int64(meta["srank"])
+        self._sample_offset_pos = image.int64(meta["spos"])
         self._offset_starts = None
         return self
 

@@ -73,34 +73,31 @@ class EliasFanoSequence:
     # ------------------------------------------------------------------
     # Frozen-image (RWT2) exchange -- see docs/ARCHITECTURE.md, "Storage"
     # ------------------------------------------------------------------
-    def to_words_image(self, sink, prefix: str) -> dict:
+    def to_words_image(self, sink) -> dict:
         """Write the low words and the high bitvector into an image sink.
 
-        One ``low`` section holds the packed low halves; the high bitvector
-        contributes its own sections under ``prefix + "high."``.  Returns
-        the meta dict :meth:`from_words_image` needs.
+        Returns the meta dict :meth:`from_words_image` needs: the span of
+        the packed low halves and the high bitvector's own meta.
         """
-        sink.add_u64(prefix + "low", self._low._words)
         return {
             "n": self._n,
             "universe": self._universe,
             "low_width": self._low_width,
-            "high": self._high.to_words_image(sink, prefix + "high."),
+            "low": sink.add_u64(self._low._words),
+            "high": self._high.to_words_image(sink),
         }
 
     @classmethod
-    def from_words_image(cls, image, prefix: str, meta: dict) -> "EliasFanoSequence":
+    def from_words_image(cls, image, meta: dict) -> "EliasFanoSequence":
         """Open from a frozen image; low and high halves alias the buffer."""
         self = cls.__new__(cls)
         self._n = int(meta["n"])
         self._universe = int(meta["universe"])
         self._low_width = int(meta["low_width"])
         self._low = PackedIntVector.from_words(
-            self._low_width, self._n, image.words(prefix + "low")
+            self._low_width, self._n, image.words(meta["low"])
         )
-        self._high = PlainBitVector.from_words_image(
-            image, prefix + "high.", meta["high"]
-        )
+        self._high = PlainBitVector.from_words_image(image, meta["high"])
         return self
 
     # ------------------------------------------------------------------

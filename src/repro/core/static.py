@@ -113,16 +113,16 @@ class WaveletTrie(WaveletTrieBase):
         "plain": PlainBitVector.from_words_image,
     }
 
-    def to_words_image(self, sink, prefix: str = "") -> dict:
+    def to_words_image(self, sink) -> dict:
         """Write the trie into a frozen-image sink (word-array kinds only).
 
         The topology and labels go into the meta as one *flat preorder*
         node list ``[is_internal, label_value, label_length]`` (iterative,
         so deep Patricia chains cannot hit recursion or JSON nesting
-        limits); internal node ``r`` (by preorder internal rank) writes its
-        bitvector's sections under ``prefix + "n{r}."``.  Only ``"rrr"``
-        and ``"plain"`` node bitvectors have a word-array image layout;
-        ``"rle"`` tries must use the RWT1 logical container instead.
+        limits); ``bitvectors[r]`` is the meta of internal node ``r`` (by
+        preorder internal rank).  Only ``"rrr"`` and ``"plain"`` node
+        bitvectors have a word-array image layout; ``"rle"`` tries must use
+        the RWT1 logical container instead.
         """
         if self._bitvector_kind not in self._IMAGE_BITVECTOR_LOADERS:
             raise SerializationError(
@@ -140,11 +140,7 @@ class WaveletTrie(WaveletTrieBase):
                     nodes.append([0, node.label.value, len(node.label)])
                 else:
                     nodes.append([1, node.label.value, len(node.label)])
-                    bv_metas.append(
-                        node.bitvector.to_words_image(
-                            sink, f"{prefix}n{len(bv_metas)}."
-                        )
-                    )
+                    bv_metas.append(node.bitvector.to_words_image(sink))
                     stack.append(node.children[1])
                     stack.append(node.children[0])
         return {
@@ -156,7 +152,7 @@ class WaveletTrie(WaveletTrieBase):
 
     @classmethod
     def from_words_image(
-        cls, image, prefix: str, meta: dict, codec: Optional[StringCodec] = None
+        cls, image, meta: dict, codec: Optional[StringCodec] = None
     ) -> "WaveletTrie":
         """Open from a frozen image; node bitvectors alias the buffer.
 
@@ -184,9 +180,7 @@ class WaveletTrie(WaveletTrieBase):
         for is_internal, value, length in nodes_meta:
             label = Bits(int(value), int(length))
             if is_internal:
-                vector = loader(
-                    image, f"{prefix}n{internal_rank}.", bv_metas[internal_rank]
-                )
+                vector = loader(image, bv_metas[internal_rank])
                 internal_rank += 1
                 node = WaveletTrieNode(label, vector)
             else:

@@ -50,15 +50,14 @@ class _LazyNodeBitvectors:
 
     Keeps frozen-image opens O(1) in the node count: the wrapper object for
     an internal node's bitvector is built (zero-copy, from the image's
-    sections) on first access and cached.  Quacks like the eager list the
+    spans) on first access and cached.  Quacks like the eager list the
     in-memory build stores in ``_bitvectors``.
     """
 
-    __slots__ = ("_image", "_prefix", "_metas", "_cache")
+    __slots__ = ("_image", "_metas", "_cache")
 
-    def __init__(self, image, prefix: str, metas: Sequence[dict]) -> None:
+    def __init__(self, image, metas: Sequence[dict]) -> None:
         self._image = image
-        self._prefix = prefix
         self._metas = metas
         self._cache: List[Optional[RRRBitVector]] = [None] * len(metas)
 
@@ -68,9 +67,7 @@ class _LazyNodeBitvectors:
     def __getitem__(self, rank: int) -> RRRBitVector:
         vector = self._cache[rank]
         if vector is None:
-            vector = RRRBitVector.from_words_image(
-                self._image, f"{self._prefix}bv{rank}.", self._metas[rank]
-            )
+            vector = RRRBitVector.from_words_image(self._image, self._metas[rank])
             self._cache[rank] = vector
         return vector
 
@@ -149,34 +146,29 @@ class SuccinctWaveletTrie(IndexedStringSequence):
     # ------------------------------------------------------------------
     # Frozen-image (RWT2) exchange -- see docs/ARCHITECTURE.md, "Storage"
     # ------------------------------------------------------------------
-    def to_words_image(self, sink, prefix: str = "") -> dict:
+    def to_words_image(self, sink) -> dict:
         """Write every Theorem 3.7 component into a frozen-image sink.
 
         The codec is *not* recorded here; the storage layer stores it in the
         container header and passes it back to :meth:`from_words_image`.
-        Internal node ``r`` (by internal rank) writes its RRR bitvector
-        under section prefix ``prefix + "bv{r}."``.
+        ``bitvectors[r]`` is the meta of internal node ``r``'s RRR
+        bitvector (by internal rank).
         """
         if self._dfuds is None:
             return {"size": self._size, "empty": True}
         return {
             "size": self._size,
             "empty": False,
-            "dfuds": self._dfuds.to_words_image(sink, prefix + "dfuds."),
-            "labels": self._labels.to_words_image(sink, prefix + "labels."),
-            "label_offsets": self._label_offsets.to_words_image(
-                sink, prefix + "loff."
-            ),
-            "is_internal": self._is_internal.to_words_image(sink, prefix + "int."),
-            "bitvectors": [
-                vector.to_words_image(sink, f"{prefix}bv{rank}.")
-                for rank, vector in enumerate(self._bitvectors)
-            ],
+            "dfuds": self._dfuds.to_words_image(sink),
+            "labels": self._labels.to_words_image(sink),
+            "label_offsets": self._label_offsets.to_words_image(sink),
+            "is_internal": self._is_internal.to_words_image(sink),
+            "bitvectors": [vector.to_words_image(sink) for vector in self._bitvectors],
         }
 
     @classmethod
     def from_words_image(
-        cls, image, prefix: str, meta: dict, codec: Optional[StringCodec] = None
+        cls, image, meta: dict, codec: Optional[StringCodec] = None
     ) -> "SuccinctWaveletTrie":
         """Open from a frozen image in O(1) time regardless of node count.
 
@@ -194,19 +186,13 @@ class SuccinctWaveletTrie(IndexedStringSequence):
             self._is_internal = None
             self._bitvectors = []
             return self
-        self._dfuds = DFUDSTree.from_words_image(
-            image, prefix + "dfuds.", meta["dfuds"]
-        )
-        self._labels = PlainBitVector.from_words_image(
-            image, prefix + "labels.", meta["labels"]
-        )
+        self._dfuds = DFUDSTree.from_words_image(image, meta["dfuds"])
+        self._labels = PlainBitVector.from_words_image(image, meta["labels"])
         self._label_offsets = StaticPartialSums.from_words_image(
-            image, prefix + "loff.", meta["label_offsets"]
+            image, meta["label_offsets"]
         )
-        self._is_internal = PlainBitVector.from_words_image(
-            image, prefix + "int.", meta["is_internal"]
-        )
-        self._bitvectors = _LazyNodeBitvectors(image, prefix, meta["bitvectors"])
+        self._is_internal = PlainBitVector.from_words_image(image, meta["is_internal"])
+        self._bitvectors = _LazyNodeBitvectors(image, meta["bitvectors"])
         return self
 
     # ------------------------------------------------------------------

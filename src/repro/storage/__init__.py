@@ -23,10 +23,10 @@ policies -- but :func:`load` must decode and rebuild every directory.
 
 **RWT2** (:func:`~repro.storage.image.save_image` /
 :func:`~repro.storage.image.open_image`) is the "frozen image": the physical
-word arrays and rank/select directories dumped verbatim in page-aligned
-sections, memory-mapped back with zero-copy views, so a cold open costs
-O(sections) regardless of index size and worker processes share one page
-cache.  :func:`load` and :func:`loads` sniff the magic and accept both.
+word arrays and rank/select directories dumped verbatim, back to back in
+one page-aligned section per element kind, memory-mapped back with
+zero-copy views, so a cold open parses the header and reads no array
+payload, and worker processes share one page cache.  :func:`load` and :func:`loads` sniff the magic and accept both.
 See docs/ARCHITECTURE.md, "Storage", for the decision table.
 
 :mod:`repro.storage.shards` builds on RWT2 as the serving cluster's

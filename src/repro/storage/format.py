@@ -108,9 +108,9 @@ def loads(data: bytes) -> Any:
 def save(obj: Any, path: Union[str, os.PathLike]) -> int:
     """Serialise ``obj`` to ``path`` as RWT1; returns the bytes written.
 
-    The file is written atomically: the data goes to a temporary sibling file
-    which is renamed over the target only after a successful write, so a
-    crash cannot leave a half-written index behind.  The payload streams to
+    The file is written atomically and durably: the data goes to a
+    temporary sibling file which is flushed, fsynced and only then renamed
+    over the target, so a crash cannot leave a half-written index behind.  The payload streams to
     disk in chunks with a running CRC -- no second in-memory copy of the
     serialised bytes is ever built.
     """
@@ -132,6 +132,8 @@ def save(obj: Any, path: Union[str, os.PathLike]) -> int:
             crc = zlib.crc32(chunk, crc)
             written += handle.write(chunk)
         written += handle.write((crc & 0xFFFFFFFF).to_bytes(4, "little"))
+        handle.flush()
+        os.fsync(handle.fileno())
     os.replace(temporary, path)
     return written
 

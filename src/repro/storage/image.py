@@ -3,13 +3,17 @@
 While the RWT1 logical format (:mod:`repro.storage.format`) serialises the
 *content* of a structure and rebuilds every directory on load, RWT2 dumps
 each frozen structure's kernel word arrays, rank/select directories and trie
-topology bitvectors verbatim -- little-endian uint64, one 4096-byte-aligned
-section per array, a JSON section table in the header and a CRC-32 per
-section.  :func:`open_image` memory-maps the file and hands every structure
-field a zero-copy view of the mapped bytes (``np.frombuffer`` under the
-numpy backend, an int-yielding ``memoryview`` cast under pure python), so a
-cold open costs O(sections), independent of index size, and N worker
-processes share one page-cache copy of the data.
+topology bitvectors verbatim, little-endian.  Arrays lie back to back in one
+4096-byte-aligned section per element kind (``u64``, ``i64``, ``u16``,
+``u8``), with a JSON section table in the header and a CRC-32 per section.
+This module is the only one that knows that layout: structures append
+arrays through :class:`ImageWriter` and keep the opaque ``[start, count]``
+spans it returns in their meta dicts; :class:`FrozenImage` turns a span
+back into a view.  :func:`open_image` memory-maps the file and hands every
+structure field a zero-copy view of the mapped bytes (``np.frombuffer``
+under the numpy backend, an int-yielding ``memoryview`` cast under pure
+python), so a cold open parses the header and reads no array payload, and
+N worker processes share one page-cache copy of the data.
 
 File layout::
 
@@ -19,11 +23,15 @@ File layout::
     offset 16  : header JSON CRC-32, uint32 LE      (4 bytes)
     offset 20  : header JSON  {"type", "meta", "sections"}
     ...        : zero padding to the next 4096-byte boundary (= data_start)
-    data_start : sections, each starting at a 4096-byte-aligned offset
+    data_start : sections u64, i64, u16, u8, each starting at a
+                 4096-byte-aligned offset
 
-Section table entries are ``[name, offset_relative_to_data_start, length,
+Section table entries are ``[kind, offset_relative_to_data_start, length,
 crc32]``; offsets are relative so the header can be sized before any
-absolute offset is known.  Aliasing rule: everything returned by the loader
+absolute offset is known.  A span is checked against its kind's section
+when it is resolved, so a malformed header raises
+:class:`~repro.exceptions.SerializationError` instead of yielding a view
+past its array.  Aliasing rule: everything returned by the loader
 is read-only and aliases the mapped buffer -- the buffer stays alive as
 long as any loaded structure does, and mutating the file while views exist
 is undefined behaviour.  See docs/ARCHITECTURE.md, "Storage".
@@ -70,11 +78,15 @@ __all__ = [
 ]
 
 IMAGE_MAGIC = b"RWT2"
-IMAGE_VERSION = 1
+IMAGE_VERSION = 2
 PAGE = 4096
 
 # magic + u32 version + u64 header length + u32 header CRC.
 _HEADER_FIXED = 20
+
+# One section per element kind, written in this order: kind -> element
+# size in bytes.
+_KINDS = {"u64": 8, "i64": 8, "u16": 2, "u8": 1}
 
 
 def _align(offset: int) -> int:
@@ -98,46 +110,49 @@ def _le_bytes(typecode: str, values) -> bytes:
 
 
 class ImageWriter:
-    """Collects named sections and assembles the RWT2 byte layout.
+    """Collects arrays into one section per element kind and assembles the
+    RWT2 byte layout.
 
     Structures append their arrays through the typed ``add_*`` methods
-    (everything is normalised to little-endian bytes); :meth:`tobytes`
-    computes the aligned physical layout, the per-section CRCs and the
-    header, and returns the complete file image.
+    (everything is normalised to little-endian bytes); each call returns the
+    array's opaque ``[start, count]`` span, in elements of its kind, which
+    the structure keeps in its meta dict.  :meth:`tobytes` computes the
+    aligned physical layout, the per-section CRCs and the header, and
+    returns the complete file image.
     """
 
     def __init__(self) -> None:
-        self._sections: List[Tuple[str, bytes]] = []
-        self._names: set = set()
+        self._sections: Dict[str, bytearray] = {kind: bytearray() for kind in _KINDS}
 
-    def _add(self, name: str, data: bytes) -> None:
-        if name in self._names:
-            raise SerializationError(f"duplicate image section name {name!r}")
-        self._names.add(name)
-        self._sections.append((name, data))
+    def _add(self, kind: str, data: bytes) -> List[int]:
+        section = self._sections[kind]
+        size = _KINDS[kind]
+        start = len(section) // size
+        section += data
+        return [start, len(data) // size]
 
-    def add_u64(self, name: str, values) -> None:
-        """Add a section of unsigned 64-bit words (the kernel word layout)."""
-        self._add(name, _le_bytes("Q", values))
+    def add_u64(self, values) -> List[int]:
+        """Append unsigned 64-bit words (the kernel word layout)."""
+        return self._add("u64", _le_bytes("Q", values))
 
-    def add_i64(self, name: str, values) -> None:
-        """Add a section of signed 64-bit integers (directory cumulatives)."""
-        self._add(name, _le_bytes("q", values))
+    def add_i64(self, values) -> List[int]:
+        """Append signed 64-bit integers (directory cumulatives)."""
+        return self._add("i64", _le_bytes("q", values))
 
-    def add_u16(self, name: str, values) -> None:
-        """Add a section of unsigned 16-bit integers (in-superblock counts)."""
-        self._add(name, _le_bytes("H", values))
+    def add_u16(self, values) -> List[int]:
+        """Append unsigned 16-bit integers (in-superblock counts)."""
+        return self._add("u16", _le_bytes("H", values))
 
-    def add_bytes(self, name: str, data: bytes) -> None:
-        """Add a raw byte section (popcount bytes, RRR class bytes)."""
-        self._add(name, bytes(data))
+    def add_bytes(self, values) -> List[int]:
+        """Append raw bytes (popcount bytes, RRR class bytes)."""
+        return self._add("u8", bytes(values))
 
     def tobytes(self, type_name: str, meta: dict) -> bytes:
         """Assemble the complete RWT2 file image."""
         table: List[List[Any]] = []
         relative = 0
-        for name, data in self._sections:
-            table.append([name, relative, len(data), zlib.crc32(data) & 0xFFFFFFFF])
+        for kind, data in self._sections.items():
+            table.append([kind, relative, len(data), zlib.crc32(data) & 0xFFFFFFFF])
             relative = _align(relative + len(data))
         header = json.dumps(
             {"type": type_name, "meta": meta, "sections": table},
@@ -150,32 +165,30 @@ class ImageWriter:
         out[8:16] = len(header).to_bytes(8, "little")
         out[16:20] = (zlib.crc32(header) & 0xFFFFFFFF).to_bytes(4, "little")
         out[_HEADER_FIXED : _HEADER_FIXED + len(header)] = header
-        for (name, data), entry in zip(self._sections, table):
+        for data, entry in zip(self._sections.values(), table):
             offset = data_start + entry[1]
             out[offset : offset + len(data)] = data
         return bytes(out)
 
 
-def _scalar_view(view: memoryview, typecode: str, itemsize: int):
-    """Cast a section to an int-yielding fixed-width read-only view."""
-    if view.nbytes % itemsize:
-        raise SerializationError(
-            f"section length {view.nbytes} is not a multiple of {itemsize}"
-        )
+def _scalar_view(view: memoryview, typecode: str):
+    """Cast a span to an int-yielding fixed-width read-only view."""
     if sys.byteorder == "little":
         return view.cast(typecode)
-    count = view.nbytes // itemsize  # pragma: no cover - big-endian only
+    count = view.nbytes // struct.calcsize(typecode)  # pragma: no cover - big-endian only
     return struct.unpack(f"<{count}{typecode}", view)
 
 
 class FrozenImage:
     """A parsed RWT2 container over an open buffer (mmap region or bytes).
 
-    Presents each named section as a zero-copy view: :meth:`section` yields
-    the raw bytes, :meth:`words` / :meth:`int64` / :meth:`uint16` the typed
-    casts the structure loaders consume.  All views are read-only and alias
-    the buffer; the image (and therefore the mapping) stays alive as long
-    as any view-holding structure does.
+    Resolves the opaque spans structures store in their metas:
+    :meth:`words` / :meth:`int64` / :meth:`uint16` / :meth:`bytes` return
+    the typed zero-copy view of one span of the matching kind's section.
+    Every span is bounds-checked against its section, so a crafted header
+    can never yield a view past its array.  All views are read-only and
+    alias the buffer; the image (and therefore the mapping) stays alive as
+    long as any view-holding structure does.
     """
 
     def __init__(self, buffer, verify: bool = False, source: str = "<buffer>") -> None:
@@ -260,7 +273,7 @@ class FrozenImage:
             self.verify_checksums()
 
     def section_names(self) -> List[str]:
-        """All section names, in file order by construction."""
+        """All section names (one per element kind), in file order."""
         return list(self._sections)
 
     def section(self, name: str) -> memoryview:
@@ -273,17 +286,43 @@ class FrozenImage:
             ) from None
         return self._buffer[offset : offset + length]
 
-    def words(self, name: str):
-        """A section as an int-yielding uint64 word view (kernel layout)."""
-        return kernel.int_words_view(self.section(name))
+    def _span(self, kind: str, span) -> memoryview:
+        """The bytes of ``span`` (``[start, count]`` in elements of
+        ``kind``), rejecting any span that is malformed or leaves its
+        section."""
+        size = _KINDS[kind]
+        section = self.section(kind)
+        if type(span) is not list or len(span) != 2:
+            start = count = None
+        else:
+            start, count = span
+        if type(start) is not int or type(count) is not int:
+            raise SerializationError(
+                f"{self._source}: malformed {kind} span {span!r} "
+                "(expected [start, count])"
+            )
+        if start < 0 or count < 0 or (start + count) * size > section.nbytes:
+            raise SerializationError(
+                f"{self._source}: {kind} span {span!r} lies outside its "
+                f"section ({section.nbytes // size} elements)"
+            )
+        return section[start * size : (start + count) * size]
 
-    def int64(self, name: str):
-        """A section as an int-yielding signed 64-bit view."""
-        return _scalar_view(self.section(name), "q", 8)
+    def words(self, span):
+        """A ``u64`` span as an int-yielding word view (kernel layout)."""
+        return kernel.int_words_view(self._span("u64", span))
 
-    def uint16(self, name: str):
-        """A section as an int-yielding unsigned 16-bit view."""
-        return _scalar_view(self.section(name), "H", 2)
+    def int64(self, span):
+        """An ``i64`` span as an int-yielding signed 64-bit view."""
+        return _scalar_view(self._span("i64", span), "q")
+
+    def uint16(self, span):
+        """A ``u16`` span as an int-yielding unsigned 16-bit view."""
+        return _scalar_view(self._span("u16", span), "H")
+
+    def bytes(self, span) -> memoryview:
+        """A ``u8`` span as a read-only byte view."""
+        return self._span("u8", span)
 
     def verify_checksums(self) -> None:
         """Check every section's CRC-32 (touches all mapped pages)."""
@@ -389,26 +428,26 @@ def freeze(obj):
 def _write_static_trie(trie: WaveletTrie, sink: ImageWriter) -> dict:
     return {
         "codec": _codec_meta(trie.codec),
-        "trie": trie.to_words_image(sink, ""),
+        "trie": trie.to_words_image(sink),
     }
 
 
 def _load_static_trie(image: FrozenImage) -> WaveletTrie:
     return WaveletTrie.from_words_image(
-        image, "", image.meta["trie"], codec=_codec_from_meta(image.meta["codec"])
+        image, image.meta["trie"], codec=_codec_from_meta(image.meta["codec"])
     )
 
 
 def _write_succinct_trie(trie: SuccinctWaveletTrie, sink: ImageWriter) -> dict:
     return {
         "codec": _codec_meta(trie._codec),
-        "trie": trie.to_words_image(sink, ""),
+        "trie": trie.to_words_image(sink),
     }
 
 
 def _load_succinct_trie(image: FrozenImage) -> SuccinctWaveletTrie:
     return SuccinctWaveletTrie.from_words_image(
-        image, "", image.meta["trie"], codec=_codec_from_meta(image.meta["codec"])
+        image, image.meta["trie"], codec=_codec_from_meta(image.meta["codec"])
     )
 
 
@@ -423,19 +462,15 @@ def _write_tiered_trie(trie: TieredWaveletTrie, sink: ImageWriter) -> dict:
         "active_capacity": trie.active_capacity,
         "compact_budget": trie.compact_budget,
         "seed": trie._seed,
-        # Per-tier images: tier i writes its sections under prefix "t{i}.".
-        "tiers": [
-            tier.to_words_image(sink, f"t{position}.")
-            for position, tier in enumerate(trie._frozen)
-        ],
+        "tiers": [tier.to_words_image(sink) for tier in trie._frozen],
     }
 
 
 def _load_tiered_trie(image: FrozenImage) -> TieredWaveletTrie:
     codec = _codec_from_meta(image.meta["codec"])
     tiers = [
-        WaveletTrie.from_words_image(image, f"t{position}.", meta, codec=codec)
-        for position, meta in enumerate(image.meta["tiers"])
+        WaveletTrie.from_words_image(image, meta, codec=codec)
+        for meta in image.meta["tiers"]
     ]
     return TieredWaveletTrie._from_parts(
         tiers,
@@ -447,7 +482,7 @@ def _load_tiered_trie(image: FrozenImage) -> TieredWaveletTrie:
     )
 
 
-def _column_meta(column: CompressedColumn, sink: ImageWriter, prefix: str) -> dict:
+def _column_meta(column: CompressedColumn, sink: ImageWriter) -> dict:
     index = column.index
     if not isinstance(index, WaveletTrie) or isinstance(
         index, (AppendOnlyWaveletTrie, DynamicWaveletTrie)
@@ -459,33 +494,32 @@ def _column_meta(column: CompressedColumn, sink: ImageWriter, prefix: str) -> di
     return {
         "name": column.name,
         "codec": _codec_meta(index.codec),
-        "trie": index.to_words_image(sink, prefix),
+        "trie": index.to_words_image(sink),
     }
 
 
-def _column_from_meta(image: FrozenImage, meta: dict, prefix: str) -> CompressedColumn:
+def _column_from_meta(image: FrozenImage, meta: dict) -> CompressedColumn:
     column = CompressedColumn(meta["name"], appendable=False)
     column._index = WaveletTrie.from_words_image(
-        image, prefix, meta["trie"], codec=_codec_from_meta(meta["codec"])
+        image, meta["trie"], codec=_codec_from_meta(meta["codec"])
     )
     column._appendable = False
     return column
 
 
 def _write_column(column: CompressedColumn, sink: ImageWriter) -> dict:
-    return {"column": _column_meta(column, sink, "")}
+    return {"column": _column_meta(column, sink)}
 
 
 def _load_column(image: FrozenImage) -> CompressedColumn:
-    return _column_from_meta(image, image.meta["column"], "")
+    return _column_from_meta(image, image.meta["column"])
 
 
 def _write_store(store: ColumnStore, sink: ImageWriter) -> dict:
     return {
         "row_count": len(store),
         "columns": [
-            _column_meta(store.column(name), sink, f"c{position}.")
-            for position, name in enumerate(store.column_names)
+            _column_meta(store.column(name), sink) for name in store.column_names
         ],
     }
 
@@ -494,10 +528,7 @@ def _load_store(image: FrozenImage) -> ColumnStore:
     metas = image.meta["columns"]
     store = ColumnStore([meta["name"] for meta in metas])
     store._row_count = int(image.meta["row_count"])
-    store._columns = {
-        meta["name"]: _column_from_meta(image, meta, f"c{position}.")
-        for position, meta in enumerate(metas)
-    }
+    store._columns = {meta["name"]: _column_from_meta(image, meta) for meta in metas}
     return store
 
 
@@ -545,13 +576,16 @@ def loads_image(data, verify: bool = False):
 def save_image(obj, path: Union[str, os.PathLike]) -> int:
     """Write ``obj`` as an RWT2 frozen image; returns the bytes written.
 
-    The write is atomic (temp file + rename), like :func:`repro.storage.save`.
+    The write is atomic and durable (temp file, fsync, rename), like
+    :func:`repro.storage.save`.
     """
     data = dumps_image(obj)
     path = os.fspath(path)
     temporary = f"{path}.tmp"
     with open(temporary, "wb") as handle:
         handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
     os.replace(temporary, path)
     return len(data)
 
@@ -559,9 +593,9 @@ def save_image(obj, path: Union[str, os.PathLike]) -> int:
 def open_image(path: Union[str, os.PathLike], verify: bool = False):
     """Memory-map an RWT2 file and open its object with zero-copy views.
 
-    The open cost is O(header + sections): no word array is read, decoded
-    or copied -- pages fault in lazily on first query and are shared across
-    every process that opens the same file.  ``verify=True`` additionally
+    The open cost is O(header): no word array is read, decoded or copied
+    -- pages fault in lazily on first query and are shared across every
+    process that opens the same file.  ``verify=True`` additionally
     checks each section's CRC-32, which touches all pages (section-table
     bounds are always validated, so plain truncation is caught either way).
     """

@@ -101,6 +101,8 @@ def export_shard_images(
     tmp_path = os.path.join(directory, MANIFEST_NAME + ".tmp")
     with open(tmp_path, "w", encoding="utf-8") as sink:
         sink.write(payload + "\n")
+        sink.flush()
+        os.fsync(sink.fileno())
     os.replace(tmp_path, os.path.join(directory, MANIFEST_NAME))
     return manifest
 

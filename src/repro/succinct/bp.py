@@ -58,22 +58,21 @@ class BalancedParentheses:
     # ------------------------------------------------------------------
     # Frozen-image (RWT2) exchange -- see docs/ARCHITECTURE.md, "Storage"
     # ------------------------------------------------------------------
-    def to_words_image(self, sink, prefix: str) -> dict:
+    def to_words_image(self, sink) -> dict:
         """Write the parentheses bitvector and block directories to a sink."""
-        bits_meta = self._bits.to_words_image(sink, prefix + "bits.")
-        sink.add_i64(prefix + "bexc", self._block_excess)
-        sink.add_i64(prefix + "bmin", self._block_min)
-        return {"bits": bits_meta}
+        return {
+            "bits": self._bits.to_words_image(sink),
+            "bexc": sink.add_i64(self._block_excess),
+            "bmin": sink.add_i64(self._block_min),
+        }
 
     @classmethod
-    def from_words_image(cls, image, prefix: str, meta: dict) -> "BalancedParentheses":
+    def from_words_image(cls, image, meta: dict) -> "BalancedParentheses":
         """Open from a frozen image; no excess directory is recomputed."""
         self = cls.__new__(cls)
-        self._bits = PlainBitVector.from_words_image(
-            image, prefix + "bits.", meta["bits"]
-        )
-        self._block_excess = image.int64(prefix + "bexc")
-        self._block_min = image.int64(prefix + "bmin")
+        self._bits = PlainBitVector.from_words_image(image, meta["bits"])
+        self._block_excess = image.int64(meta["bexc"])
+        self._block_min = image.int64(meta["bmin"])
         return self
 
     # ------------------------------------------------------------------

@@ -70,20 +70,18 @@ class DFUDSTree:
     # ------------------------------------------------------------------
     # Frozen-image (RWT2) exchange -- see docs/ARCHITECTURE.md, "Storage"
     # ------------------------------------------------------------------
-    def to_words_image(self, sink, prefix: str) -> dict:
+    def to_words_image(self, sink) -> dict:
         """Write the balanced-parentheses structure into an image sink."""
         return {
             "node_count": self._node_count,
-            "bp": self._bp.to_words_image(sink, prefix + "bp."),
+            "bp": self._bp.to_words_image(sink),
         }
 
     @classmethod
-    def from_words_image(cls, image, prefix: str, meta: dict) -> "DFUDSTree":
+    def from_words_image(cls, image, meta: dict) -> "DFUDSTree":
         """Open from a frozen image; the parentheses alias the buffer."""
         self = cls.__new__(cls)
-        self._bp = BalancedParentheses.from_words_image(
-            image, prefix + "bp.", meta["bp"]
-        )
+        self._bp = BalancedParentheses.from_words_image(image, meta["bp"])
         self._node_count = int(meta["node_count"])
         return self
 

@@ -45,20 +45,20 @@ class StaticPartialSums:
     # ------------------------------------------------------------------
     # Frozen-image (RWT2) exchange -- see docs/ARCHITECTURE.md, "Storage"
     # ------------------------------------------------------------------
-    def to_words_image(self, sink, prefix: str) -> dict:
+    def to_words_image(self, sink) -> dict:
         """Write the Elias-Fano cumulative sequence into an image sink."""
         return {
             "count": self._count,
-            "cumulative": self._cumulative.to_words_image(sink, prefix + "cum."),
+            "cumulative": self._cumulative.to_words_image(sink),
         }
 
     @classmethod
-    def from_words_image(cls, image, prefix: str, meta: dict) -> "StaticPartialSums":
+    def from_words_image(cls, image, meta: dict) -> "StaticPartialSums":
         """Open from a frozen image; the cumulative sequence aliases it."""
         self = cls.__new__(cls)
         self._count = int(meta["count"])
         self._cumulative = EliasFanoSequence.from_words_image(
-            image, prefix + "cum.", meta["cumulative"]
+            image, meta["cumulative"]
         )
         return self
 

@@ -1,38 +1,10 @@
-"""Tests for the space-vs-bounds report generator."""
+"""Tests for the space-vs-bounds measurement."""
 
 import math
 
 import pytest
 
-from repro.analysis.report import (
-    format_table,
-    space_vs_bounds,
-    space_vs_bounds_table,
-    variant_space_sweep,
-)
-
-
-class TestFormatTable:
-    def test_markdown_shape(self):
-        text = format_table(["a", "b"], [[1, "x"], [22, "yy"]])
-        lines = text.splitlines()
-        assert len(lines) == 4
-        assert lines[0].startswith("| a")
-        assert set(lines[1]) <= {"|", "-"}
-        assert "22" in lines[3]
-
-    def test_plain_text(self):
-        text = format_table(["name", "bits"], [["static", 1234]], markdown=False)
-        assert "|" not in text
-        assert "1,234" in text
-
-    def test_float_formatting(self):
-        text = format_table(["v"], [[1234.567]])
-        assert "1,234.6" in text
-
-    def test_empty_rows(self):
-        text = format_table(["only", "headers"], [])
-        assert "only" in text and "headers" in text
+from repro.analysis.report import space_vs_bounds
 
 
 class TestSpaceVsBounds:
@@ -61,24 +33,8 @@ class TestSpaceVsBounds:
         with pytest.raises(ValueError):
             space_vs_bounds(workload, variants=("huffman",))
 
-    def test_table_contains_summary_and_ratio(self, workload):
-        text = space_vs_bounds_table(workload, variants=("static",))
-        assert "|Sset|" in text
-        assert "measured / LB" in text
-        assert "x" in text.splitlines()[-1]
-
-    def test_sweep_has_one_block_per_workload(self, workload, query_log):
-        text = variant_space_sweep(
-            {"urls": workload[:100], "queries": query_log[:100]},
-            markdown=True,
-        )
-        assert text.count("### ") == 2
-        assert "urls" in text and "queries" in text
-
     def test_empty_sequence(self):
         bounds, reports = space_vs_bounds([], variants=("static",))
         assert bounds.length == 0
         assert reports["static"].total_bits == 0
-        text = space_vs_bounds_table([], variants=("static",))
-        assert "n = 0" in text
         assert not math.isnan(bounds.lt_bits)

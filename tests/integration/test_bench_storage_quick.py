@@ -39,6 +39,13 @@ def test_bench_storage_quick_mode():
         assert entry["rwt2_bytes"] > 0
         # Quick mode never spawns subprocesses or writes outside tempdirs.
         assert "cold_rwt2" not in entry
+    # One section per element kind, whatever the node count.
+    high = payload["high_cardinality"]
+    assert high["distinct"] > 1000
+    assert high["rwt2_sections"] <= 4
+    padding = high["rwt2_bytes"] - high["rwt2_header_bytes"] - high["rwt2_payload_bytes"]
+    assert padding < 5 * 4096
+    assert "cold_rwt2" not in high
 
 
 def test_bench_storage_restores_active_backend():

@@ -40,6 +40,7 @@ from repro.storage import (
 from repro.storage.image import PAGE, FrozenImage
 from repro.storage.shards import load_manifest, open_worker_columns
 from repro.tries.binarize import FixedWidthIntCodec
+from repro.workloads.urls import UrlLogGenerator
 
 
 @pytest.fixture(params=["python", "numpy"])
@@ -220,6 +221,30 @@ class TestCrossBackend:
             kernel.use_backend(previous)
 
 
+def _image_header(image_bytes):
+    header_length = int.from_bytes(image_bytes[8:16], "little")
+    return json.loads(image_bytes[20 : 20 + header_length])
+
+
+def _resigned(image_bytes, header):
+    """Rebuild ``image_bytes`` around a rewritten ``header`` with a valid
+    header CRC, so only the loader's structural checks can catch it.
+    Section offsets are relative to the data start, so the sections are
+    carried over unchanged behind the re-padded header."""
+    header_length = int.from_bytes(image_bytes[8:16], "little")
+    encoded = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    old_start = -(-(20 + header_length) // PAGE) * PAGE
+    new_start = -(-(20 + len(encoded)) // PAGE) * PAGE
+    return (
+        image_bytes[:8]
+        + len(encoded).to_bytes(8, "little")
+        + (zlib.crc32(encoded) & 0xFFFFFFFF).to_bytes(4, "little")
+        + encoded
+        + bytes(new_start - 20 - len(encoded))
+        + image_bytes[old_start:]
+    )
+
+
 @pytest.fixture(scope="module")
 def image_bytes(url_log):
     return dumps_image(WaveletTrie(url_log[:100]))
@@ -241,6 +266,14 @@ class TestImageValidation:
             SerializationError,
             match=f"found {IMAGE_VERSION + 7}, expected {IMAGE_VERSION}",
         ):
+            loads_image(bytes(corrupted))
+
+    def test_version_1_image_is_rejected(self, image_bytes):
+        """Images of the retired per-array section layout get the typed
+        version error; there is no second reader."""
+        corrupted = bytearray(image_bytes)
+        corrupted[4:8] = (1).to_bytes(4, "little")
+        with pytest.raises(SerializationError, match="found 1, expected 2"):
             loads_image(bytes(corrupted))
 
     def test_header_bit_flip(self, image_bytes):
@@ -272,7 +305,7 @@ class TestImageValidation:
         from repro.storage.image import ImageWriter
 
         writer = ImageWriter()
-        writer.add_u64("w", [1, 2, 3])
+        writer.add_u64([1, 2, 3])
         with pytest.raises(SerializationError, match="unknown frozen-image type"):
             loads_image(writer.tobytes("martian_index", {}))
 
@@ -292,24 +325,43 @@ class TestImageValidation:
         ],
     )
     def test_malformed_section_entry_with_valid_crc(self, image_bytes, mutate):
-        # Re-sign the rewritten header so only the entry check can catch it;
-        # padding keeps the data start (and every section) where it was.
-        header_length = int.from_bytes(image_bytes[8:16], "little")
-        header = json.loads(image_bytes[20 : 20 + header_length])
+        header = _image_header(image_bytes)
         mutate(header["sections"][0])
-        encoded = json.dumps(header, separators=(",", ":")).encode("utf-8")
-        data_start = -(-(20 + header_length) // PAGE) * PAGE
-        assert 20 + len(encoded) <= data_start
-        crafted = (
-            image_bytes[:8]
-            + len(encoded).to_bytes(8, "little")
-            + (zlib.crc32(encoded) & 0xFFFFFFFF).to_bytes(4, "little")
-            + encoded
-            + bytes(data_start - 20 - len(encoded))
-            + image_bytes[data_start:]
-        )
         with pytest.raises(SerializationError, match="section"):
-            loads_image(crafted)
+            loads_image(_resigned(image_bytes, header))
+
+    @pytest.mark.parametrize(
+        "field, span, message",
+        [
+            pytest.param("off", [0, 10**6], "u64 span .* outside", id="past-end"),
+            pytest.param("off", [10**6, 0], "u64 span .* outside", id="start-past-end"),
+            pytest.param("srank", [-1, 1], "i64 span .* outside", id="negative-start"),
+            pytest.param("cls", [0, -1], "u8 span .* outside", id="negative-count"),
+            pytest.param("off", [0, 1, 2], "malformed u64 span", id="three-ints"),
+            pytest.param("srank", "0:1", "malformed i64 span", id="not-a-list"),
+            pytest.param("cls", [0.0, 1], "malformed u8 span", id="float-start"),
+        ],
+    )
+    def test_malformed_span_with_valid_crc(self, image_bytes, field, span, message):
+        """A span that is malformed or leaves its kind's section is a typed
+        error naming the span and the kind, never a view past its array."""
+        header = _image_header(image_bytes)
+        header["meta"]["trie"]["bitvectors"][0][field] = span
+        with pytest.raises(SerializationError, match=message):
+            loads_image(_resigned(image_bytes, header))
+
+    def test_spans_outside_a_sliced_section_are_rejected(self):
+        """Spans are checked against their own kind's section, not the file:
+        a u16 span reaching into the following u8 section is rejected."""
+        from repro.storage.image import ImageWriter
+
+        writer = ImageWriter()
+        span = writer.add_u16([1, 2, 3])
+        writer.add_bytes(b"abc")
+        image = FrozenImage(writer.tobytes("martian_index", {}))
+        assert list(image.uint16(span)) == [1, 2, 3]
+        with pytest.raises(SerializationError, match="u16 span"):
+            image.uint16([2, 2])
 
     def test_sections_are_page_aligned_and_read_only(self, image_bytes):
         image = FrozenImage(image_bytes)
@@ -322,6 +374,39 @@ class TestImageValidation:
         # The format's alignment promise only holds if the OS page size
         # divides the section alignment.
         assert PAGE % mmap.PAGESIZE == 0 or mmap.PAGESIZE % PAGE == 0
+
+
+class TestLayout:
+    """One section per element kind, whatever the node count: section
+    count and alignment padding stay constant as the trie grows."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return UrlLogGenerator(seed=3).generate(2000)
+
+    def _objects(self, rows):
+        tiered = TieredWaveletTrie(rows, active_capacity=512)
+        assert len(freeze(tiered)._frozen) >= 2
+        store = ColumnStore(["url", "verb"])
+        for position, url in enumerate(rows):
+            store.append_row({"url": url, "verb": "GET" if position % 3 else "PUT"})
+        return {
+            "rrr": WaveletTrie(rows),
+            "plain": WaveletTrie(rows, bitvector="plain"),
+            "succinct": SuccinctWaveletTrie(rows),
+            "tiered": tiered,
+            "store": store,
+        }
+
+    def test_sections_and_padding_are_bounded(self, rows):
+        for label, obj in self._objects(rows).items():
+            data = dumps_image(obj)
+            image = FrozenImage(data)
+            sections = len(image.section_names())
+            header = 20 + int.from_bytes(data[8:16], "little")
+            payload = sum(length for _, length, _ in image._sections.values())
+            assert sections <= 4, label
+            assert len(data) - header - payload < (sections + 1) * PAGE, label
 
 
 class TestManifestValidation:
